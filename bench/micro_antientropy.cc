@@ -9,8 +9,7 @@
 // divergence — that ratio is this bench's acceptance assertion, checked
 // at runtime. Part 2 alternates join and leave waves on the kIbf engine
 // and sweeps after each: divergence found, healed to zero, and a second
-// sweep confirms nothing is left. Emits BENCH_antientropy.json. (Plain
-// main(), no Google Benchmark dependency, like micro_churn.)
+// sweep confirms nothing is left. Emits BENCH_antientropy.json.
 //
 // Env knobs (see bench_common.h): HDKP2P_BENCH_SCALE=tiny,
 // HDKP2P_THREADS, HDKP2P_CORPUS_CACHE.

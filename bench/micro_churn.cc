@@ -5,8 +5,7 @@
 // stack), the wall time and network cost of alternating join and
 // departure waves — messages and postings moved per membership event —
 // and the result-cache hit rate of a repeated query batch between waves.
-// Emits BENCH_churn.json. (Plain main(), no Google Benchmark dependency,
-// like micro_parallel.)
+// Emits BENCH_churn.json.
 //
 // Env knobs (see bench_common.h): HDKP2P_BENCH_SCALE=tiny,
 // HDKP2P_THREADS, HDKP2P_CORPUS_CACHE.

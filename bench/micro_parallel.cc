@@ -3,9 +3,7 @@
 // Measures indexing-build and SearchBatch wall time for every engine at
 // 1/2/4/8 worker threads, verifies that each configuration produces the
 // exact same index and batch totals as the serial run, and emits
-// BENCH_parallel.json so the perf trajectory is tracked from this PR
-// onward. (No Google Benchmark dependency: the sweep needs full engine
-// rebuilds per point, and the JSON is our own schema.)
+// BENCH_parallel.json.
 //
 // Env knobs (see bench_common.h): HDKP2P_BENCH_SCALE=tiny,
 // HDKP2P_CORPUS_CACHE, and HDKP2P_PARALLEL_THREADS to override the

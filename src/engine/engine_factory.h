@@ -30,7 +30,6 @@
 #include "engine/overlay_factory.h"
 #include "engine/search_engine.h"
 #include "index/bm25.h"
-#include "net/breaker.h"
 #include "net/fault.h"
 
 namespace hdk::engine {
@@ -86,9 +85,6 @@ struct EngineConfig {
   /// Replica maintenance / anti-entropy reconciliation of the HDK
   /// backend (see sync/sync.h; kOff default = pre-sync behaviour).
   sync::SyncConfig sync;
-  /// Per-peer circuit breakers on the HDK query fetch path (see
-  /// net/breaker.h); disabled by default.
-  net::BreakerConfig breaker;
   /// Batch admission gate / load shedding of the distributed backends
   /// (see AdmissionConfig in engine/search_engine.h); off by default.
   AdmissionConfig admission;

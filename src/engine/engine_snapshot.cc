@@ -1051,10 +1051,9 @@ Result<std::unique_ptr<HdkSearchEngine>> LoadEngineSnapshot(
   // deliberately excluded from SnapshotConfigHash — a snapshot ports
   // across fault plans).
   engine->injector_.Install(config.faults);
-  engine->breaker_.Configure(config.breaker);
   const net::Resilience resilience{&engine->injector_, &engine->health_,
-                                   &engine->breaker_, config.retry,
-                                   config.replication, config.sync};
+                                   config.retry, config.replication,
+                                   config.sync};
   engine->protocol_ = std::make_unique<p2p::HdkIndexingProtocol>(
       config.hdk, store, engine->overlay_.get(), engine->traffic_.get(),
       engine->pool_.get(), resilience);

@@ -30,10 +30,9 @@ Result<std::unique_ptr<HdkSearchEngine>> HdkSearchEngine::Build(
   // absorbed by the protocol's redelivery path, so the published index
   // is identical to a fault-free build whenever no peer dies for good.
   engine->injector_.Install(config.faults);
-  engine->breaker_.Configure(config.breaker);
   const net::Resilience resilience{&engine->injector_, &engine->health_,
-                                   &engine->breaker_, config.retry,
-                                   config.replication, config.sync};
+                                   config.retry, config.replication,
+                                   config.sync};
   engine->protocol_ = std::make_unique<p2p::HdkIndexingProtocol>(
       config.hdk, store, engine->overlay_.get(), engine->traffic_.get(),
       engine->pool_.get(), resilience);
@@ -100,10 +99,9 @@ Status HdkSearchEngine::ApplyDeparture(PeerId peer) {
         // replay that Depart runs next — otherwise the survivor that
         // inherited a dead peer's id would swallow the re-homed
         // contributions (evicting a dead peer must clear its death, and
-        // a scripted death of peer 7 now concerns peer 6).
+        // a plan's kill=7 now concerns peer 6).
         injector_.OnPeerRemoved(peer);
         health_.OnPeerRemoved(peer);
-        breaker_.OnPeerRemoved(peer);
         return status;
       },
       &departure));

@@ -27,7 +27,6 @@
 #include "engine/overlay_factory.h"
 #include "engine/partition.h"
 #include "engine/search_engine.h"
-#include "net/breaker.h"
 #include "net/fault.h"
 #include "net/traffic.h"
 #include "p2p/global_index.h"
@@ -78,9 +77,6 @@ struct HdkEngineConfig {
   /// snapshot config hash for the same reason as `faults`: sync modes
   /// perturb repair transport, never the published index.
   sync::SyncConfig sync;
-  /// Per-peer circuit breakers on the query fetch path (see
-  /// net/breaker.h); disabled by default.
-  net::BreakerConfig breaker;
   /// Batch admission gate / load shedding (see AdmissionConfig in
   /// engine/search_engine.h); off by default.
   AdmissionConfig admission;
@@ -213,11 +209,6 @@ class HdkSearchEngine : public SearchEngine {
   const net::FaultInjector& fault_injector() const { return injector_; }
   const net::PeerHealth& peer_health() const { return health_; }
 
-  /// The per-peer circuit breaker bank (configured from
-  /// HdkEngineConfig::breaker; tests/benches inspect states here).
-  net::CircuitBreakerBank& circuit_breakers() { return breaker_; }
-  const net::CircuitBreakerBank& circuit_breakers() const { return breaker_; }
-
   /// Background maintenance observability: sweeps the event cadence has
   /// triggered so far, and what the latest one found/shipped.
   uint64_t maintenance_sweeps() const { return maintenance_sweeps_; }
@@ -273,7 +264,6 @@ class HdkSearchEngine : public SearchEngine {
   /// a plan is installed.
   net::FaultInjector injector_;
   net::PeerHealth health_;
-  net::CircuitBreakerBank breaker_;
   /// Maintenance cadence state: events since the last triggered sweep.
   uint64_t maintenance_events_ = 0;
   uint64_t maintenance_sweeps_ = 0;

@@ -141,18 +141,12 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view spec) {
       }
       if (!replaced) plan.peer_latency.push_back(entry);
     } else if (key == "kill") {
-      const size_t at = value.find('@');
-      ScriptedDeath death;
       uint64_t peer = 0;
-      if (at == std::string_view::npos ||
-          !ParseU64(value.substr(0, at), &peer) || peer >= kInvalidPeer ||
-          !ParseU64(value.substr(at + 1), &death.after_messages)) {
-        return Status::InvalidArgument(
-            "FaultPlan: kill wants <peer>@<messages>, got '" +
-            std::string(value) + "'");
+      if (!ParseU64(value, &peer) || peer >= kInvalidPeer) {
+        return Status::InvalidArgument("FaultPlan: kill wants <peer>, got '" +
+                                       std::string(value) + "'");
       }
-      death.peer = static_cast<PeerId>(peer);
-      plan.deaths.push_back(death);
+      plan.killed.push_back(static_cast<PeerId>(peer));
     } else {
       return Status::InvalidArgument("FaultPlan: unknown key '" +
                                      std::string(key) + "'");
@@ -185,30 +179,18 @@ std::string FaultPlan::ToString() const {
     out += ",latency@" + std::to_string(pl.peer) + "=" +
            std::to_string(pl.max_ticks);
   }
-  for (const ScriptedDeath& d : deaths) {
-    out += ",kill=" + std::to_string(d.peer) + "@" +
-           std::to_string(d.after_messages);
-  }
+  for (PeerId peer : killed) out += ",kill=" + std::to_string(peer);
   return out;
 }
 
 void FaultInjector::Install(FaultPlan plan) {
   std::lock_guard<std::mutex> lock(mu_);
   plan_ = std::move(plan);
-  // Scripted "dead from message 0" peers die immediately; later deaths
-  // trigger from CountMessageTo.
-  size_t max_peer = 0;
-  for (const ScriptedDeath& d : plan_.deaths) {
-    max_peer = std::max(max_peer, static_cast<size_t>(d.peer) + 1);
-  }
-  while (dead_.size() < max_peer) {
-    dead_.push_back(std::make_unique<std::atomic<bool>>(false));
-    arrivals_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
-  }
-  for (const ScriptedDeath& d : plan_.deaths) {
-    if (d.after_messages == 0) {
-      dead_[d.peer]->store(true, std::memory_order_release);
+  for (PeerId peer : plan_.killed) {
+    while (dead_.size() <= peer) {
+      dead_.push_back(std::make_unique<std::atomic<bool>>(false));
     }
+    dead_[peer]->store(true, std::memory_order_release);
   }
   bool any_dead = false;
   for (const auto& d : dead_) {
@@ -266,35 +248,20 @@ void FaultInjector::RevivePeer(PeerId peer) {
   }
 }
 
-void FaultInjector::CountMessageTo(PeerId dst) {
-  if (plan_.deaths.empty()) return;
-  EnsurePeers(static_cast<size_t>(dst) + 1);
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t arrived =
-      arrivals_[dst]->fetch_add(1, std::memory_order_acq_rel) + 1;
-  for (const ScriptedDeath& d : plan_.deaths) {
-    if (d.peer == dst && d.after_messages > 0 && arrived >= d.after_messages) {
-      dead_[dst]->store(true, std::memory_order_release);
-    }
-  }
-}
-
 void FaultInjector::OnPeerRemoved(PeerId peer) {
   std::lock_guard<std::mutex> lock(mu_);
   if (peer < dead_.size()) {
     dead_.erase(dead_.begin() + peer);
-    arrivals_.erase(arrivals_.begin() + peer);
   }
-  // Scripted deaths address pre-renumbering ids; compact them the same
+  // The plan's kills address pre-renumbering ids; compact them the same
   // way the overlay renumbers (drop the departed peer, shift the rest).
-  std::vector<ScriptedDeath> kept;
-  kept.reserve(plan_.deaths.size());
-  for (ScriptedDeath d : plan_.deaths) {
-    if (d.peer == peer) continue;
-    if (d.peer > peer) --d.peer;
-    kept.push_back(d);
+  std::vector<PeerId> kept;
+  kept.reserve(plan_.killed.size());
+  for (PeerId p : plan_.killed) {
+    if (p == peer) continue;
+    kept.push_back(p > peer ? p - 1 : p);
   }
-  plan_.deaths = std::move(kept);
+  plan_.killed = std::move(kept);
   // Per-peer latency overrides address ids the same way.
   std::vector<PeerLatency> kept_latency;
   kept_latency.reserve(plan_.peer_latency.size());
@@ -310,7 +277,6 @@ void FaultInjector::EnsurePeers(size_t n) {
   std::lock_guard<std::mutex> lock(mu_);
   while (dead_.size() < n) {
     dead_.push_back(std::make_unique<std::atomic<bool>>(false));
-    arrivals_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
   }
 }
 
@@ -335,17 +301,6 @@ bool PeerHealth::Suspect(PeerId peer) const {
   return strain(peer) >= suspect_threshold_;
 }
 
-std::vector<PeerId> PeerHealth::Suspects() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<PeerId> out;
-  for (size_t p = 0; p < strain_.size(); ++p) {
-    if (strain_[p]->load(std::memory_order_acquire) >= suspect_threshold_) {
-      out.push_back(static_cast<PeerId>(p));
-    }
-  }
-  return out;
-}
-
 void PeerHealth::OnPeerRemoved(PeerId peer) {
   std::lock_guard<std::mutex> lock(mu_);
   if (peer < strain_.size()) {
@@ -367,7 +322,6 @@ bool Channel::Attempt(PeerId src, PeerId dst, MessageKind kind,
   traffic_->Record(src, dst, kind, postings, hops, extra_bytes);
   const FaultInjector* inj = res_.injector;
   if (inj == nullptr || !inj->active()) return true;
-  res_.injector->CountMessageTo(dst);
   if (inj->PeerDead(dst)) return false;
   if (inj->Lost(kind, src, dst, salt, attempt)) return false;
   *latency_ticks += inj->LatencyTicks(kind, src, dst, salt, attempt);
@@ -448,7 +402,6 @@ SendOutcome Channel::SendAssured(PeerId src, PeerId dst, MessageKind kind,
       out.delivered = true;
       return out;
     }
-    if (PeerDead(dst)) return out;  // died mid-burst (scripted death)
   }
   // Retry budget exhausted against a LIVE peer: the level barrier stands
   // in for the ack protocol, so the message still arrives — the caller's

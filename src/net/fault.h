@@ -7,17 +7,15 @@
 // — per message kind, per (src, dst) pair — whether a message is lost,
 // how many latency ticks it accrues, and whether the destination peer is
 // hard-dead (an unannounced failure: every message to it fails until a
-// membership event or health-driven eviction removes it). A PeerHealth
-// strain tracker (modeled on distft's session_metadata) counts
-// consecutive failures per peer and feeds both replica-failover ordering
-// and optional auto-eviction.
+// membership event or HdkSearchEngine::EvictDeadPeers removes it). A
+// PeerHealth strain tracker (modeled on distft's session_metadata) counts
+// consecutive failures per peer and feeds replica-failover ordering.
 //
 // DETERMINISM: loss and latency decisions are PURE HASHES of
 // (seed, kind, src, dst, salt, attempt) — there is no shared RNG stream,
 // so the fault schedule is bit-reproducible at any thread count and any
-// interleaving. Scripted deaths ("peer X dies after receiving N
-// messages") count arrivals with a per-peer atomic and are exact only
-// under serial execution; deterministic tests use KillPeer() directly.
+// interleaving. Deaths change only in serial sections (plan install,
+// KillPeer/RevivePeer), never as a side effect of traffic.
 //
 // The Channel wraps a TrafficRecorder + a Resilience bundle and is the
 // single choke point the protocols send through:
@@ -51,17 +49,6 @@
 
 namespace hdk::net {
 
-class CircuitBreakerBank;  // net/breaker.h
-
-/// "peer `peer` dies unannounced after receiving `after_messages`
-/// messages." after_messages == 0 means dead from the start.
-struct ScriptedDeath {
-  PeerId peer = kInvalidPeer;
-  uint64_t after_messages = 0;
-
-  bool operator==(const ScriptedDeath&) const = default;
-};
-
 /// "every message delivered TO `peer` draws latency from [0, ticks]" —
 /// the per-peer override that scripts one slow holder.
 struct PeerLatency {
@@ -74,7 +61,7 @@ struct PeerLatency {
 /// Declarative fault schedule. Parsed from / serialized to the spec
 /// grammar used by the `faulty:` engine decorator:
 ///
-///   seed=7,loss=0.01,loss.KeyProbe=0.05,latency=3,kill=2@100
+///   seed=7,loss=0.01,loss.KeyProbe=0.05,latency=3,kill=2
 ///
 /// comma-separated key=value pairs:
 ///   seed=N            injector seed (default 0)
@@ -88,8 +75,8 @@ struct PeerLatency {
 ///   latency@X=T       per-destination-peer override: every message TO
 ///                     peer X draws from [0, T] — the strongest
 ///                     precedence, for scripting a single slow holder
-///   kill=X@N          scripted death: peer X dies after receiving N
-///                     messages (repeatable)
+///   kill=X            peer X is hard-dead from plan install
+///                     (repeatable)
 struct FaultPlan {
   uint64_t seed = 0;
   double loss = 0.0;
@@ -108,11 +95,12 @@ struct FaultPlan {
   }();
   /// Per-destination-peer max-latency override (strongest precedence).
   std::vector<PeerLatency> peer_latency;
-  std::vector<ScriptedDeath> deaths;
+  /// Peers that are hard-dead from plan install (`kill=X`).
+  std::vector<PeerId> killed;
 
   /// True when this plan can actually perturb traffic.
   bool active() const {
-    if (loss > 0.0 || max_latency_ticks > 0 || !deaths.empty()) return true;
+    if (loss > 0.0 || max_latency_ticks > 0 || !killed.empty()) return true;
     for (double p : kind_loss) {
       if (p > 0.0) return true;
     }
@@ -185,21 +173,18 @@ class FaultInjector {
   uint32_t LatencyTicks(MessageKind kind, PeerId src, PeerId dst,
                         uint64_t salt, uint32_t attempt) const;
 
-  /// True when `peer` is hard-dead: killed explicitly, by script, or
-  /// not yet revived. Dead peers fail every message deterministically.
+  /// True when `peer` is hard-dead: killed by the plan or by KillPeer,
+  /// and not revived since. Dead peers fail every message
+  /// deterministically.
   bool PeerDead(PeerId peer) const;
 
   /// Marks `peer` hard-dead / alive again. Thread-safe.
   void KillPeer(PeerId peer);
   void RevivePeer(PeerId peer);
 
-  /// Counts one arrival at `dst` and applies scripted deaths. Called by
-  /// the Channel on every delivery attempt; exact only serially.
-  void CountMessageTo(PeerId dst);
-
   /// Overlay departure: `peer` left through the membership protocol, and
   /// every id above it was renumbered down by one. Compacts the
-  /// dead-peer and arrival-count state the same way.
+  /// dead-peer state and the plan's peer ids the same way.
   void OnPeerRemoved(PeerId peer);
 
   /// Grows internal per-peer state to `n` peers. Thread-safe, monotone.
@@ -211,16 +196,21 @@ class FaultInjector {
 
   FaultPlan plan_;
   std::atomic<bool> active_{false};
-  mutable std::mutex mu_;  // guards dead_ / arrivals_ resize + compaction
+  mutable std::mutex mu_;  // guards dead_ resize + compaction
   std::vector<std::unique_ptr<std::atomic<bool>>> dead_;
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> arrivals_;
 };
 
 /// Consecutive-failure strain tracker (distft session_metadata style):
 /// every failed send to a peer bumps its strain, every success clears
-/// it. Peers whose strain crosses `suspect_threshold` are Suspect —
-/// failover orders them last, and the engine may auto-evict them
-/// through the standard departure repair.
+/// it. Peers whose strain crosses `suspect_threshold` are Suspect and
+/// failover orders them last. Nothing evicts a suspect: eviction
+/// (HdkSearchEngine::EvictDeadPeers) reads the injector's dead set.
+///
+/// Strain is updated as sends complete, so within a parallel batch the
+/// moment a holder turns suspect depends on thread scheduling. Against
+/// a dead, not yet evicted holder, the failover order — and so the
+/// message and failover counts, never the rankings — of a multi-threaded
+/// batch can therefore vary from run to run (README "Fault tolerance").
 class PeerHealth {
  public:
   static constexpr uint32_t kDefaultSuspectThreshold = 4;
@@ -236,9 +226,6 @@ class PeerHealth {
 
   /// strain(peer) >= suspect_threshold.
   bool Suspect(PeerId peer) const;
-
-  /// All currently suspect peers, ascending id. Serial sections only.
-  std::vector<PeerId> Suspects() const;
 
   uint32_t suspect_threshold() const { return suspect_threshold_; }
 
@@ -259,9 +246,6 @@ class PeerHealth {
 struct Resilience {
   FaultInjector* injector = nullptr;
   PeerHealth* health = nullptr;
-  /// Per-peer circuit breakers consulted by the query fetch path (see
-  /// net/breaker.h); null or disabled = never short-circuit.
-  CircuitBreakerBank* breaker = nullptr;
   RetryPolicy retry;
   /// Number of fragment holders per key (primary + replication-1
   /// salted replicas). 1 = no replication (default).

@@ -5,7 +5,6 @@
 #include <tuple>
 
 #include "common/hash.h"
-#include "net/breaker.h"
 #include "sync/reconcile.h"
 #include "sync/sketch.h"
 
@@ -769,8 +768,6 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
         holders.begin(), holders.end(),
         [&](PeerId p) { return !res_.health->Suspect(p); });
   }
-  net::CircuitBreakerBank* breaker = res_.breaker;
-  const bool breakers_on = breaker != nullptr && breaker->enabled();
 
   // One probe + response round trip against `holder`. The outcome's
   // ticks are the round trip's simulated completion time; `budget` (when
@@ -793,10 +790,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     result.retries += probe.retries;
     leg.ticks += probe.latency_ticks;
     leg.deadline_exhausted |= probe.deadline_exhausted;
-    if (!probe.delivered) {
-      if (breakers_on && !probe.deadline_exhausted) breaker->OnFailure(holder);
-      return leg;
-    }
+    if (!probe.delivered) return leg;
     const hdk::KeyEntry* entry = holder == primary
                                      ? PeekHashed(ring_key, key)
                                      : PeekReplica(holder, ring_key, key);
@@ -807,13 +801,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     result.retries += response.retries;
     leg.ticks += response.latency_ticks;
     leg.deadline_exhausted |= response.deadline_exhausted;
-    if (!response.delivered) {
-      if (breakers_on && !response.deadline_exhausted) {
-        breaker->OnFailure(holder);
-      }
-      return leg;
-    }
-    if (breakers_on) breaker->OnSuccess(holder, leg.ticks);
+    if (!response.delivered) return leg;
     // A delivered round trip is an authoritative answer — nullptr means
     // the key is ABSENT, not unreachable.
     leg.delivered = true;
@@ -822,7 +810,6 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
   };
 
   const uint32_t hedge_delay = options.hedge_delay_ticks;
-  bool attempted_any = false;
   size_t i = 0;
   while (i < holders.size()) {
     if (options.budget != nullptr && options.budget->exhausted()) {
@@ -830,15 +817,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
       break;
     }
     const PeerId holder = holders[i];
-    if (breakers_on && breaker->ShouldShortCircuit(holder)) {
-      // Open breaker: skip the leg entirely (no message, no ticks) and
-      // go straight to the next holder in failover order.
-      ++result.breaker_short_circuits;
-      ++i;
-      continue;
-    }
-    if (attempted_any) ++result.failovers;
-    attempted_any = true;
+    if (i > 0) ++result.failovers;
 
     if (hedge_delay == 0) {
       // Plain sequential failover: the leg charges the budget directly.
@@ -866,15 +845,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
       result.entry = primary_leg.entry;
       return result;
     }
-    // Hedge target: the next holder in failover order whose breaker
-    // admits a leg.
-    size_t j = i + 1;
-    while (j < holders.size() && breakers_on &&
-           breaker->ShouldShortCircuit(holders[j])) {
-      ++result.breaker_short_circuits;
-      ++j;
-    }
-    if (j >= holders.size()) {
+    if (i + 1 >= holders.size()) {
       // No replica left to hedge against: the primary leg stands alone.
       result.latency_ticks += primary_leg.ticks;
       if (options.budget != nullptr) options.budget->Charge(primary_leg.ticks);
@@ -882,11 +853,10 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
         result.entry = primary_leg.entry;
         return result;
       }
-      i = j;
-      continue;
+      break;
     }
     ++result.hedges_fired;
-    const Leg hedge_leg = round_trip(holders[j], nullptr);
+    const Leg hedge_leg = round_trip(holders[i + 1], nullptr);
     // The hedge started hedge_delay ticks after the primary, so its
     // effective completion is shifted; ties go to the primary.
     const uint64_t hedge_effective = hedge_delay + hedge_leg.ticks;
@@ -911,7 +881,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     result.latency_ticks += failed_ticks;
     if (options.budget != nullptr) options.budget->Charge(failed_ticks);
     ++result.failovers;
-    i = j + 1;
+    i += 2;
   }
   result.unreachable = true;
   return result;

@@ -293,13 +293,11 @@ class DistributedGlobalIndex {
     uint32_t retries = 0;
     uint32_t failovers = 0;
     uint64_t latency_ticks = 0;
-    /// Tail-latency armor accounting (see common/search_options.h and
-    /// net/breaker.h): hedged reads fired / won, holders skipped by an
-    /// open circuit breaker, and whether the deadline budget ran out
+    /// Tail-latency armor accounting (see common/search_options.h):
+    /// hedged reads fired / won, and whether the deadline budget ran out
     /// mid-fetch (the caller degrades the query).
     uint32_t hedges_fired = 0;
     uint32_t hedge_wins = 0;
-    uint32_t breaker_short_circuits = 0;
     bool deadline_exhausted = false;
   };
 
@@ -321,13 +319,11 @@ class DistributedGlobalIndex {
   /// `options` entirely (zero simulated time passes).
   ///
   /// Overload armor (all off by default; see FetchOptions):
-  ///   * circuit breakers (Resilience::breaker): holders whose breaker
-  ///     is open are skipped without any message — straight to failover;
   ///   * hedged reads: when the primary leg's simulated completion time
   ///     exceeds hedge_delay_ticks, the same probe also runs against the
-  ///     next available holder and the earlier (simulated-time) answer
-  ///     wins — both legs' traffic is recorded, but latency_ticks and
-  ///     the budget advance only by the winner's effective time;
+  ///     next holder in failover order and the earlier (simulated-time)
+  ///     answer wins — both legs' traffic is recorded, but latency_ticks
+  ///     and the budget advance only by the winner's effective time;
   ///   * deadline budget: legs charge the budget and stop retrying when
   ///     it exhausts; an exhausted budget ends the failover walk.
   FetchResult FetchFromResilient(PeerId src, const hdk::TermKey& key,

@@ -2,6 +2,7 @@
 #ifndef HDKP2P_BENCH_BENCH_COMMON_H_
 #define HDKP2P_BENCH_BENCH_COMMON_H_
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,22 +20,36 @@ using engine::FingerprintContents;
 using engine::FingerprintTraffic;
 
 /// Selects the experiment scale: HDKP2P_BENCH_SCALE=tiny for smoke runs,
-/// anything else (or unset) for the scaled-default reproduction. Two more
+/// unset or "default" for the scaled-default reproduction. Two more
 /// environment knobs apply to every bench:
 ///   HDKP2P_THREADS       worker threads per engine (0/unset = hardware
 ///                        concurrency, 1 = serial; results identical),
 ///   HDKP2P_CORPUS_CACHE  directory of the on-disk synthetic-corpus cache
 ///                        (unset = "corpus_cache"; "off" or "0" disables).
+/// Any other scale, or a thread count that is not a plain number, prints
+/// the bad value and exits 1.
 inline engine::ExperimentSetup SelectSetup() {
   SetLogLevel(LogLevel::kWarning);
   const char* scale = std::getenv("HDKP2P_BENCH_SCALE");
-  engine::ExperimentSetup setup =
-      (scale != nullptr && std::strcmp(scale, "tiny") == 0)
-          ? engine::ExperimentSetup::Tiny()
-          : engine::ExperimentSetup::ScaledDefault();
+  engine::ExperimentSetup setup = engine::ExperimentSetup::ScaledDefault();
+  if (scale != nullptr && std::strcmp(scale, "tiny") == 0) {
+    setup = engine::ExperimentSetup::Tiny();
+  } else if (scale != nullptr && std::strcmp(scale, "default") != 0) {
+    std::fprintf(stderr,
+                 "HDKP2P_BENCH_SCALE must be 'tiny' or 'default', got '%s'\n",
+                 scale);
+    std::exit(1);
+  }
 
   if (const char* threads = std::getenv("HDKP2P_THREADS")) {
-    setup.num_threads = static_cast<size_t>(std::strtoul(threads, nullptr, 10));
+    const char* end = threads + std::strlen(threads);
+    auto [ptr, ec] = std::from_chars(threads, end, setup.num_threads);
+    if (ec != std::errc() || ptr != end) {
+      std::fprintf(stderr,
+                   "HDKP2P_THREADS must be a thread count, got '%s'\n",
+                   threads);
+      std::exit(1);
+    }
   }
   const char* cache = std::getenv("HDKP2P_CORPUS_CACHE");
   if (cache == nullptr) {

@@ -3,13 +3,16 @@
 // Measures indexing-build and SearchBatch wall time for every engine at
 // 1/2/4/8 worker threads, verifies that each configuration produces the
 // exact same index and batch totals as the serial run, and emits
-// BENCH_parallel.json.
+// BENCH_parallel.json. HDK rows also split the build into its scan phase
+// (parallel per-peer candidate scans into shard buffers) and its merge
+// phase (shard-parallel EndLevel), from the engine's phase_timings().
 //
 // Env knobs (see bench_common.h): HDKP2P_BENCH_SCALE=tiny,
 // HDKP2P_CORPUS_CACHE, and HDKP2P_PARALLEL_THREADS to override the
 // "1,2,4,8" sweep list.
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "common/stopwatch.h"
 #include "engine/engine_factory.h"
 #include "engine/experiment.h"
+#include "engine/hdk_engine.h"
 #include "engine/partition.h"
 
 namespace {
@@ -43,6 +47,7 @@ struct Point {
   size_t threads = 0;
   double build_s = 0;
   double batch_s = 0;
+  std::optional<p2p::PhaseTimings> phases;  // HDK builds only
   bool identical = false;
 };
 
@@ -86,10 +91,12 @@ int main() {
   for (engine::EngineKind kind : engine::kAllEngineKinds) {
     EngineSweep es;
     es.kind = kind;
-    std::printf("%-12s %8s %12s %12s %10s %10s %10s\n",
+    const bool hdk = kind == engine::EngineKind::kHdk;
+    std::printf("%-12s %8s %12s %12s %10s %10s %10s",
                 std::string(engine::EngineKindName(kind)).c_str(),
                 "threads", "build_s", "batch_s", "build_x", "batch_x",
                 "identical");
+    std::printf(hdk ? " %10s %10s\n" : "\n", "scan_s", "merge_s");
 
     double serial_build = 0, serial_batch = 0;
     double serial_stored = 0;
@@ -109,6 +116,11 @@ int main() {
         return 1;
       }
       const double build_s = build_watch.ElapsedSeconds();
+      std::optional<p2p::PhaseTimings> phases;
+      if (hdk) {
+        phases = static_cast<const engine::HdkSearchEngine&>(**built)
+                     .phase_timings();
+      }
 
       Stopwatch batch_watch;
       auto batch = (*built)->SearchBatch(queries, setup.top_k);
@@ -126,15 +138,21 @@ int main() {
       p.threads = threads;
       p.build_s = build_s;
       p.batch_s = batch_s;
+      p.phases = phases;
       p.identical =
           stored == serial_stored && fingerprint == serial_fingerprint;
       es.points.push_back(p);
 
-      std::printf("%-12s %8zu %12.3f %12.3f %9.2fx %9.2fx %10s\n", "",
+      std::printf("%-12s %8zu %12.3f %12.3f %9.2fx %9.2fx %10s", "",
                   threads, build_s, batch_s,
                   build_s > 0 ? serial_build / build_s : 0.0,
                   batch_s > 0 ? serial_batch / batch_s : 0.0,
                   p.identical ? "yes" : "NO");
+      if (phases) {
+        std::printf(" %10.3f %10.3f", phases->scan_seconds,
+                    phases->merge_seconds);
+      }
+      std::printf("\n");
       if (!p.identical) {
         std::fprintf(stderr,
                      "DETERMINISM VIOLATION at %zu threads for %s\n",
@@ -181,11 +199,15 @@ int main() {
       std::fprintf(out,
                    "      {\"threads\": %zu, \"build_s\": %.6f, "
                    "\"batch_s\": %.6f, \"build_speedup\": %.3f, "
-                   "\"batch_speedup\": %.3f, \"end_to_end_speedup\": %.3f, "
-                   "\"identical_to_serial\": %s}%s\n",
+                   "\"batch_speedup\": %.3f, \"end_to_end_speedup\": %.3f, ",
                    p.threads, p.build_s, p.batch_s,
                    p.build_s > 0 ? b1 / p.build_s : 0.0,
-                   p.batch_s > 0 ? q1 / p.batch_s : 0.0, end_to_end,
+                   p.batch_s > 0 ? q1 / p.batch_s : 0.0, end_to_end);
+      if (p.phases) {
+        std::fprintf(out, "\"scan_s\": %.6f, \"merge_s\": %.6f, ",
+                     p.phases->scan_seconds, p.phases->merge_seconds);
+      }
+      std::fprintf(out, "\"identical_to_serial\": %s}%s\n",
                    p.identical ? "true" : "false",
                    i + 1 < es.points.size() ? "," : "");
     }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <map>
-#include <mutex>
 
 #include "engine/centralized.h"
 #include "engine/engine_snapshot.h"
@@ -21,7 +19,7 @@ std::string_view Trim(std::string_view s) {
   return s;
 }
 
-/// Built-in "cached" decorator: LRU capacity from the spec argument, the
+/// The "cached" decorator: LRU capacity from the spec argument, the
 /// EngineConfig default otherwise.
 Result<std::unique_ptr<SearchEngine>> MakeCached(
     std::unique_ptr<SearchEngine> inner, std::string_view arg,
@@ -43,7 +41,7 @@ Result<std::unique_ptr<SearchEngine>> MakeCached(
       std::make_unique<ResultCacheEngine>(std::move(inner), capacity));
 }
 
-/// Built-in "faulty" decorator: installs a fault plan on the wrapped
+/// The "faulty" decorator: installs a fault plan on the wrapped
 /// engine's transport and returns the engine itself (the layer carries
 /// no state — fault injection lives in the backend). The argument is a
 /// net::FaultPlan spec ("faulty:seed=7,loss=0.01(hdk)"); with no
@@ -57,21 +55,6 @@ Result<std::unique_ptr<SearchEngine>> MakeFaulty(
   }
   HDK_RETURN_NOT_OK(inner->InstallFaultPlan(plan));
   return inner;
-}
-
-struct DecoratorRegistry {
-  std::mutex mu;
-  std::map<std::string, EngineDecoratorFactory, std::less<>> factories;
-
-  DecoratorRegistry() {
-    factories.emplace("cached", MakeCached);
-    factories.emplace("faulty", MakeFaulty);
-  }
-};
-
-DecoratorRegistry& Registry() {
-  static DecoratorRegistry* registry = new DecoratorRegistry();
-  return *registry;
 }
 
 /// The HDK backend's slice of the shared config (built and
@@ -113,25 +96,6 @@ std::optional<EngineKind> ParseEngineKind(std::string_view name) {
   if (name == "st") return EngineKind::kSingleTerm;
   if (name == "bm25") return EngineKind::kCentralized;
   return std::nullopt;
-}
-
-bool RegisterEngineDecorator(std::string_view name,
-                             EngineDecoratorFactory factory) {
-  DecoratorRegistry& registry = Registry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  return registry.factories.emplace(std::string(name), std::move(factory))
-      .second;
-}
-
-std::vector<std::string> RegisteredEngineDecorators() {
-  DecoratorRegistry& registry = Registry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  std::vector<std::string> names;
-  names.reserve(registry.factories.size());
-  for (const auto& [name, factory] : registry.factories) {
-    names.push_back(name);
-  }
-  return names;
 }
 
 Result<EngineSpec> EngineSpec::Parse(std::string_view spec) {
@@ -230,19 +194,16 @@ Result<std::unique_ptr<SearchEngine>> ApplyEngineDecorators(
   // Innermost decorator wraps first.
   for (auto it = spec.decorators.rbegin(); it != spec.decorators.rend();
        ++it) {
-    EngineDecoratorFactory factory;
-    {
-      DecoratorRegistry& registry = Registry();
-      std::lock_guard<std::mutex> lock(registry.mu);
-      auto found = registry.factories.find(it->name);
-      if (found == registry.factories.end()) {
-        return Status::InvalidArgument(
-            "EngineSpec: unknown decorator '" + it->name + "'");
-      }
-      factory = found->second;
+    if (it->name == "cached") {
+      HDK_ASSIGN_OR_RETURN(engine,
+                           MakeCached(std::move(engine), it->arg, config));
+    } else if (it->name == "faulty") {
+      HDK_ASSIGN_OR_RETURN(engine,
+                           MakeFaulty(std::move(engine), it->arg, config));
+    } else {
+      return Status::InvalidArgument("EngineSpec: unknown decorator '" +
+                                     it->name + "'");
     }
-    HDK_ASSIGN_OR_RETURN(engine,
-                         factory(std::move(engine), it->arg, config));
   }
   return engine;
 }

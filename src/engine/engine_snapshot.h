@@ -9,8 +9,8 @@
 // array. Loading is therefore mmap + bulk memcpy + AdoptRaw, which
 // rebuilds each table's slot index from the cached hashes in one linear
 // pass — no TermKey is ever re-hashed. At the default experiment scale
-// that turns a multi-second protocol run into a sub-second (millisecond-
-// range) cold start; bench/micro_persist.cc measures the ratio.
+// that turns a multi-second protocol run into a sub-second cold start;
+// perfbench's serve workload times both (`build_s`, `load_s`).
 //
 // Sections (see store/snapshot_format.h for the container layout):
 //   kConfig       engine parameters + network shape, cross-checked on load

@@ -168,7 +168,7 @@ class HdkSearchEngine : public SearchEngine {
   }
 
   /// Cumulative scan-vs-merge wall-clock split of the build and every
-  /// growth wave (the shard bench's per-phase metric).
+  /// growth wave (perfbench's `p2p.build.*` and `p2p.join.*` split).
   const p2p::PhaseTimings& phase_timings() const {
     return protocol_->phase_timings();
   }

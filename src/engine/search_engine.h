@@ -12,9 +12,9 @@
 // invariant that the churned engine is posting-for-posting identical to a
 // from-scratch build over the surviving document ranges.
 //
-// Engines can also be composed from a string spec through the decorator
-// registry, e.g. "cached(hdk)" for a result-cache front over the HDK
-// engine — see engine/engine_factory.h.
+// Engines can also be composed from a string spec, e.g. "cached(hdk)"
+// for a result-cache front over the HDK engine — see
+// engine/engine_factory.h.
 //
 // Quickstart (see also examples/quickstart.cpp and README.md):
 //

@@ -727,11 +727,6 @@ DistributedGlobalIndex::DepartureOutcome DistributedGlobalIndex::
   return outcome;
 }
 
-const hdk::KeyEntry* DistributedGlobalIndex::FetchFrom(
-    PeerId src, const hdk::TermKey& key) const {
-  return FetchFromResilient(src, key).entry;
-}
-
 DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
     PeerId src, const hdk::TermKey& key, const FetchOptions& options) const {
   FetchResult result;

@@ -276,12 +276,6 @@ class DistributedGlobalIndex {
   /// number of migrated keys.
   uint64_t OnOverlayGrown();
 
-  /// Retrieval probe from peer `src`: routes a KeyProbe message to the
-  /// responsible peer; when the key exists, a PostingsResponse carrying
-  /// the posting-list payload is recorded and the entry returned.
-  /// Returns nullptr (response with zero postings) when the key is absent.
-  const hdk::KeyEntry* FetchFrom(PeerId src, const hdk::TermKey& key) const;
-
   /// Outcome of one failure-aware key fetch (see FetchFromResilient).
   struct FetchResult {
     /// The published entry; nullptr when the key is ABSENT (a valid,
@@ -311,12 +305,14 @@ class DistributedGlobalIndex {
     DeadlineBudget* budget = nullptr;
   };
 
-  /// Failure-aware FetchFrom: probes the responsible peer with bounded
-  /// retry + exponential backoff (the Resilience retry policy); when its
-  /// round trip fails, fails over to the key's replica holders in
-  /// health order (non-suspect holders first). With an inactive injector
-  /// this records exactly the two messages FetchFrom records and ignores
-  /// `options` entirely (zero simulated time passes).
+  /// Retrieval probe from peer `src`: routes a KeyProbe message to the
+  /// responsible peer, which answers with a PostingsResponse carrying the
+  /// posting-list payload (zero postings when the key is absent). The
+  /// probe runs with bounded retry + exponential backoff (the Resilience
+  /// retry policy); when its round trip fails, it fails over to the key's
+  /// replica holders in health order (non-suspect holders first). With an
+  /// inactive injector this records exactly those two messages and
+  /// ignores `options` entirely (zero simulated time passes).
   ///
   /// Overload armor (all off by default; see FetchOptions):
   ///   * hedged reads: when the primary leg's simulated completion time

@@ -96,9 +96,9 @@ struct SyncStats {
     full_postings += other.full_postings;
   }
 
-  /// Total postings that travelled for repair (the bench's headline
-  /// metric: IBF must beat full re-replication on this by >= 5x at
-  /// small divergence).
+  /// Total postings that travelled for repair (perfbench's
+  /// `sync.shipped_postings`; AntiEntropySavingsTest requires IBF to beat
+  /// full re-replication on this by >= 5x at small divergence).
   uint64_t ShippedPostings() const { return delta_postings + full_postings; }
 
   bool operator==(const SyncStats&) const = default;

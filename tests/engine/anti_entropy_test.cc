@@ -23,6 +23,7 @@
 
 #include "corpus/synthetic.h"
 #include "engine/engine_factory.h"
+#include "engine/experiment.h"
 #include "engine/fingerprint.h"
 #include "engine/hdk_engine.h"
 #include "engine/partition.h"
@@ -230,8 +231,51 @@ TEST_P(AntiEntropyTest, FullModeHealsButShipsMoreThanIbf) {
     }
   }
   // At small divergence the IBF delta path ships far fewer postings than
-  // wholesale re-replication (the bench pins the exact ratio).
+  // wholesale re-replication (AntiEntropySavingsTest pins a 5x bound).
   EXPECT_LT(shipped[0], shipped[1]);
+}
+
+// The experiment harness's tiny scale (2 peers x 150 documents), with
+// replication 2 and 5% of replica pushes lost: small divergence, where
+// shipping only the difference pays off most. The IBF budget is wide
+// enough for every pair to decode, so this prices the sketch path itself
+// (the fallback has its own test above).
+TEST(AntiEntropySavingsTest, IbfShipsAtLeastFiveTimesFewerPostingsThanFull) {
+  const ExperimentSetup setup = ExperimentSetup::Tiny();
+  const uint64_t docs =
+      static_cast<uint64_t>(setup.initial_peers) * setup.docs_per_peer;
+  ExperimentContext ctx(setup);
+  const corpus::DocumentStore& store = ctx.GrowTo(docs);
+
+  // Twin builds with identical faults, as in FullModeHealsButShipsMore.
+  uint64_t shipped[2] = {0, 0};
+  const sync::SyncMode modes[2] = {sync::SyncMode::kIbf,
+                                   sync::SyncMode::kFull};
+  for (size_t m = 0; m < 2; ++m) {
+    SCOPED_TRACE(sync::SyncModeName(modes[m]));
+    HdkEngineConfig config;
+    config.hdk = setup.MakeParams(setup.DfMaxLow());
+    config.overlay = setup.overlay;
+    config.overlay_seed = setup.overlay_seed;
+    config.replication = 2;
+    config.sync.mode = modes[m];
+    config.sync.min_cells = 2048;
+    config.sync.max_cells = 1u << 16;
+    config.faults = *net::FaultPlan::Parse("seed=7,loss.ReplicaPush=0.05");
+    auto built = HdkSearchEngine::Build(
+        config, store, SplitEvenly(docs, setup.initial_peers));
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ASSERT_GT((*built)->global_index().CountReplicaDivergence(), 0u);
+    auto sweep = (*built)->RunAntiEntropy();
+    ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+    EXPECT_EQ((*built)->global_index().CountReplicaDivergence(), 0u);
+    EXPECT_EQ(sweep->full_syncs,
+              modes[m] == sync::SyncMode::kFull ? sweep->pairs_checked : 0u);
+    shipped[m] = sweep->ShippedPostings();
+  }
+  EXPECT_GT(shipped[0], 0u);
+  EXPECT_LE(shipped[0] * 5, shipped[1])
+      << "IBF shipped " << shipped[0] << ", full sync " << shipped[1];
 }
 
 TEST_P(AntiEntropyTest, OffModeEngineIsDivergenceFreeAndSweepConfirmsIt) {

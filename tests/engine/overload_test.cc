@@ -14,6 +14,7 @@
 //     deadline at all;
 //   * the admission gate sheds the lowest-priority queries of an
 //     over-bound batch, explicitly flagged, never silently dropped.
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -26,6 +27,7 @@
 #include "corpus/query_gen.h"
 #include "corpus/stats.h"
 #include "corpus/synthetic.h"
+#include "engine/experiment.h"
 #include "engine/fingerprint.h"
 #include "engine/hdk_engine.h"
 #include "engine/partition.h"
@@ -263,6 +265,80 @@ TEST_P(HedgeTest, HedgedBatchesAreThreadCountInvariant) {
     EXPECT_EQ(by_kind[0][k], by_kind[1][k])
         << net::MessageKindName(static_cast<net::MessageKind>(k));
   }
+}
+
+struct TailStats {
+  uint64_t p99_ticks = 0;
+  uint64_t degraded = 0;
+};
+
+// One fresh build, then the queries one at a time with origins rotating
+// over the peers and skipping `slow`: a slow requester drags every
+// response leg addressed to it, which no holder-side armor can hedge.
+TailStats RunTail(const HdkEngineConfig& config,
+                  const corpus::DocumentStore& store,
+                  const std::vector<DocRange>& ranges,
+                  const std::vector<corpus::Query>& queries, size_t top_k,
+                  const SearchOptions& options, PeerId slow) {
+  auto built = HdkSearchEngine::Build(config, store, ranges);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  if (!built.ok()) return {};
+  auto engine = std::move(built).value();
+  const auto peers = static_cast<PeerId>(engine->num_peers());
+
+  TailStats stats;
+  std::vector<uint64_t> ticks;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto origin = static_cast<PeerId>(i % peers);
+    if (origin == slow) origin = static_cast<PeerId>((origin + 1) % peers);
+    SearchResponse response =
+        engine->Search(queries[i].terms, top_k, options, origin);
+    ticks.push_back(response.cost.latency_ticks);
+    stats.degraded += response.degraded ? 1 : 0;
+  }
+  std::sort(ticks.begin(), ticks.end());
+  stats.p99_ticks = ticks[std::min(
+      ticks.size() - 1,
+      static_cast<size_t>(0.99 * static_cast<double>(ticks.size())))];
+  return stats;
+}
+
+// The tail scenario at the experiment harness's tiny scale (6 peers x 150
+// documents, its 60-query workload): replication 2, every key probe draws
+// up to 2 injected ticks and peer 3 is a straggler at up to 64 ticks per
+// leg. Hedged reads must cut the per-query simulated p99 at least 2x and
+// never degrade a query, since a healthy replica survives every hedge.
+TEST(HedgeTailTest, HedgingHalvesSlowHolderP99WithoutDegrading) {
+  const ExperimentSetup setup = ExperimentSetup::Tiny();
+  const uint64_t docs =
+      static_cast<uint64_t>(setup.max_peers) * setup.docs_per_peer;
+  ExperimentContext ctx(setup);
+  const corpus::DocumentStore& store = ctx.GrowTo(docs);
+  const std::vector<corpus::Query> queries =
+      ctx.MakeQueries(docs, setup.num_queries);
+  const auto ranges = SplitEvenly(docs, setup.max_peers);
+
+  const PeerId slow = setup.max_peers / 2;
+  HdkEngineConfig config;
+  config.hdk = setup.MakeParams(setup.DfMaxLow());
+  config.overlay = setup.overlay;
+  config.overlay_seed = setup.overlay_seed;
+  config.replication = 2;
+  config.faults = *net::FaultPlan::Parse(
+      "seed=7,latency.KeyProbe=2,latency@" + std::to_string(slow) + "=64");
+
+  SearchOptions hedged_options;
+  hedged_options.hedge_delay_ticks = 4;
+  const TailStats plain = RunTail(config, store, ranges, queries, setup.top_k,
+                                  SearchOptions{}, slow);
+  const TailStats hedged = RunTail(config, store, ranges, queries,
+                                   setup.top_k, hedged_options, slow);
+
+  EXPECT_EQ(hedged.degraded, 0u);
+  EXPECT_GT(hedged.p99_ticks, 0u);
+  EXPECT_LE(hedged.p99_ticks * 2, plain.p99_ticks)
+      << "hedged p99 " << hedged.p99_ticks << " ticks, unhedged "
+      << plain.p99_ticks;
 }
 
 // ---------------------------------------------------------------------

@@ -165,7 +165,7 @@ TEST_F(GlobalIndexTest, FetchRecordsProbeAndResponse) {
                         Params(10), 5.0);
   index_.EndLevel(Params(10), 5.0);
 
-  const hdk::KeyEntry* entry = index_.FetchFrom(3, key);
+  const hdk::KeyEntry* entry = index_.FetchFromResilient(3, key).entry;
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(traffic_.ByKind(net::MessageKind::kKeyProbe).messages, 1u);
   const auto& resp =
@@ -175,7 +175,8 @@ TEST_F(GlobalIndexTest, FetchRecordsProbeAndResponse) {
 }
 
 TEST_F(GlobalIndexTest, FetchMissRecordsEmptyResponse) {
-  const hdk::KeyEntry* entry = index_.FetchFrom(0, hdk::TermKey{99});
+  const hdk::KeyEntry* entry =
+      index_.FetchFromResilient(0, hdk::TermKey{99}).entry;
   EXPECT_EQ(entry, nullptr);
   EXPECT_EQ(traffic_.ByKind(net::MessageKind::kPostingsResponse).postings,
             0u);

@@ -4,8 +4,9 @@
 // 1/2/4/8 worker threads, verifies that each configuration produces the
 // exact same index and batch totals as the serial run, and emits
 // BENCH_parallel.json. HDK rows also split the build into its scan phase
-// (parallel per-peer candidate scans into shard buffers) and its merge
-// phase (shard-parallel EndLevel), from the engine's phase_timings().
+// (parallel per-peer candidate scans into the shards' pending runs) and
+// its merge phase (shard-parallel EndLevel), from the engine's
+// phase_timings().
 //
 // Env knobs (see bench_common.h): HDKP2P_BENCH_SCALE=tiny,
 // HDKP2P_CORPUS_CACHE, and HDKP2P_PARALLEL_THREADS to override the

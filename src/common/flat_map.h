@@ -33,8 +33,8 @@
 //     invalidated by rehash AND by growth of the entry vector (unordered_map
 //     only invalidates iterators). No current call site holds a reference
 //     across an insert into the same table.
-//   * clear() keeps the allocated capacity — tables that fill, drain and
-//     refill per wave (the global index's pending buffers) never re-grow.
+//   * clear() keeps the allocated capacity — a table that fills, drains
+//     and refills never re-grows.
 #ifndef HDKP2P_COMMON_FLAT_MAP_H_
 #define HDKP2P_COMMON_FLAT_MAP_H_
 

@@ -121,11 +121,14 @@ Status ReadKeyMapKeys(SectionCursor& cur, std::vector<hdk::TermKey>* keys,
 /// any mutation copies-on-write (see index::PostingList).
 ///
 /// Posting columns are 4-byte aligned by construction: section payloads
-/// start 8-byte aligned and every column written before a posting blob
-/// is a multiple of 4 bytes (the u8 flag columns deliberately come LAST
-/// in each map's layout).
+/// start 8-byte aligned, every column written before a posting blob
+/// within a map is a multiple of 4 bytes (the u8 flag columns come LAST
+/// in each map's layout), and each map's tail is zero-padded to 8 bytes
+/// (kMapAlignment), so the map after it starts aligned as well.
 static_assert(alignof(index::Posting) == 4,
               "posting-blob alignment argument above assumes this");
+
+constexpr size_t kMapAlignment = 8;
 
 Status ReadPostingSlice(SectionCursor& cur, uint32_t count,
                         index::PostingList* out) {
@@ -188,8 +191,10 @@ void WriteLedgerMap(SnapshotWriter& w, const LedgerMap& map) {
     }
   }
   // The u8 column goes last so every posting blob above stays 4-byte
-  // aligned (all preceding columns are multiples of 4 bytes).
+  // aligned (all preceding columns are multiples of 4 bytes); the padding
+  // realigns whatever the section holds next.
   w.WriteArray(flags);
+  w.PadTo(kMapAlignment);
 }
 
 Status ReadLedgerMap(SectionCursor& cur, LedgerMap* out) {
@@ -257,6 +262,7 @@ Status ReadLedgerMap(SectionCursor& cur, LedgerMap* out) {
     entries[i].second.published_ndk = (flags[i] & 1u) != 0;
     entries[i].second.truncation_sensitive = (flags[i] & 2u) != 0;
   }
+  HDK_RETURN_NOT_OK(cur.SkipPadding(kMapAlignment));
   out->AdoptRaw(std::move(entries), std::move(hashes));
   return Status::OK();
 }
@@ -287,6 +293,7 @@ void WriteFragmentMap(SnapshotWriter& w, const FragmentMap& map) {
   }
   // u8 column last: keeps the posting blob 4-byte aligned.
   w.WriteArray(flags);
+  w.PadTo(kMapAlignment);
 }
 
 Status ReadFragmentMap(SectionCursor& cur, FragmentMap* out) {
@@ -319,6 +326,7 @@ Status ReadFragmentMap(SectionCursor& cur, FragmentMap* out) {
   for (size_t i = 0; i < n; ++i) {
     entries[i].second.is_hdk = (flags[i] & 1u) != 0;
   }
+  HDK_RETURN_NOT_OK(cur.SkipPadding(kMapAlignment));
   out->AdoptRaw(std::move(entries), std::move(hashes));
   return Status::OK();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <tuple>
 
 #include "common/hash.h"
@@ -90,7 +91,6 @@ uint64_t DistributedGlobalIndex::InsertPostings(PeerId src,
                                                 uint64_t key_hash,
                                                 index::PostingList full_local,
                                                 const HdkParams& params,
-                                                double avg_doc_length,
                                                 bool record_traffic) {
   // Sender-side truncation: a locally non-discriminative key is certainly
   // globally non-discriminative (paper Section 3: local NDK => global NDK),
@@ -102,7 +102,7 @@ uint64_t DistributedGlobalIndex::InsertPostings(PeerId src,
 
   if (record_traffic) {
     // key_hash IS the key's ring id: one hash drives routing, the
-    // destination lookup, the shard choice and the pending-buffer probe.
+    // destination lookup, the shard choice and the barrier's ledger probe.
     const PeerId dst = overlay_->Responsible(key_hash);
     const size_t hops = overlay_->Route(src, key_hash);
     if (!FaultsActive()) {
@@ -126,19 +126,16 @@ uint64_t DistributedGlobalIndex::InsertPostings(PeerId src,
         Shard& shard = *shards_[ShardOf(key_hash)];
         std::lock_guard<std::mutex> lock(shard.insert_mu);
         shard.redelivery.push_back(Shard::Redelivery{
-            src, key, key_hash, std::move(full_local), payload});
+            {key, src, key_hash, std::move(full_local)}, payload});
         return payload;
       }
     }
   }
 
   Shard& shard = *shards_[ShardOf(key_hash)];
-  {
-    std::lock_guard<std::mutex> lock(shard.insert_mu);
-    shard.pending.try_emplace_hashed(key_hash, key)
-        .first->second.push_back(Contribution{src, std::move(full_local)});
-  }
-  (void)avg_doc_length;  // truncation choice is re-derived at publish time
+  std::lock_guard<std::mutex> lock(shard.insert_mu);
+  shard.pending.push_back(
+      PendingContribution{key, src, key_hash, std::move(full_local)});
   return payload;
 }
 
@@ -252,21 +249,21 @@ void DistributedGlobalIndex::DrainRedelivery(Shard& shard,
   // sort so the barrier processes items in a reproducible sequence.
   std::sort(shard.redelivery.begin(), shard.redelivery.end(),
             [](const Shard::Redelivery& a, const Shard::Redelivery& b) {
-              return std::tie(a.key, a.src) < std::tie(b.key, b.src);
+              return std::tie(a.contribution.key, a.contribution.peer) <
+                     std::tie(b.contribution.key, b.contribution.peer);
             });
   for (Shard::Redelivery& item : shard.redelivery) {
-    const PeerId dst = overlay_->Responsible(item.key_hash);
+    PendingContribution& c = item.contribution;
+    const PeerId dst = overlay_->Responsible(c.key_hash);
     if (res_.injector != nullptr && res_.injector->PeerDead(dst)) {
       lost_contributions_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     if (record_traffic) {
-      traffic_->Record(item.src, dst, net::MessageKind::kInsertPostings,
-                       item.payload, overlay_->Route(item.src, item.key_hash));
+      traffic_->Record(c.peer, dst, net::MessageKind::kInsertPostings,
+                       item.payload, overlay_->Route(c.peer, c.key_hash));
     }
-    shard.pending.try_emplace_hashed(item.key_hash, item.key)
-        .first->second.push_back(
-            Contribution{item.src, std::move(item.full)});
+    shard.pending.push_back(std::move(c));
   }
   shard.redelivery.clear();
 }
@@ -289,32 +286,55 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
     return hdk::TruncationScore(p, avg_doc_length);
   };
 
-  // Ascending-key order: shard- and thread-count independent, so the
-  // reduced outcome is deterministic everywhere. The pending table's
-  // cached hashes ride along — every downstream probe (ledger, fragment,
-  // overlay routing) reuses them instead of re-hashing the term array.
-  std::vector<std::pair<hdk::TermKey, uint64_t>> keys;
-  keys.reserve(shard.pending.size());
-  for (size_t i = 0; i < shard.pending.size(); ++i) {
-    keys.emplace_back(shard.pending.entry(i).first, shard.pending.hash_at(i));
+  // Sort the run by (key, peer): processing in ascending-key order is
+  // shard- and thread-count independent, so the reduced outcome is
+  // deterministic everywhere, and the arrival order (which depends on the
+  // scan wave's thread interleaving) is gone. The sort moves compact
+  // (key, peer, position) records, not the postings; the position breaks
+  // ties, so the order is that of a stable sort. Each contribution's
+  // cached hash rides along — every downstream probe (ledger, fragment,
+  // overlay routing) reuses it instead of re-hashing the term array.
+  struct RunOrder {
+    hdk::TermKey key;
+    PeerId peer;
+    uint32_t pos;
+  };
+  std::vector<PendingContribution>& run = shard.pending;
+  assert(run.size() <= UINT32_MAX);
+  std::vector<RunOrder> order;
+  order.reserve(run.size());
+  for (uint32_t i = 0; i < run.size(); ++i) {
+    order.push_back(RunOrder{run[i].key, run[i].peer, i});
   }
-  std::sort(keys.begin(), keys.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  // One reserve sized from this wave keeps the ledger rehash out of the
-  // per-key merge loop.
-  shard.ledger.reserve(shard.ledger.size() + keys.size());
+  std::sort(order.begin(), order.end(),
+            [](const RunOrder& a, const RunOrder& b) {
+              if (!(a.key == b.key)) return a.key < b.key;
+              return std::tie(a.peer, a.pos) < std::tie(b.peer, b.pos);
+            });
 
-  for (const auto& [key, key_hash] : keys) {
-    std::vector<Contribution>& contributions =
-        shard.pending.find_hashed(key_hash, key)->second;
+  // One reserve sized from this wave's key count keeps the ledger rehash
+  // out of the per-key merge loop.
+  size_t wave_keys = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i == 0 || !(order[i].key == order[i - 1].key)) ++wave_keys;
+  }
+  shard.ledger.reserve(shard.ledger.size() + wave_keys);
+
+  for (size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+    const hdk::TermKey& key = order[begin].key;
+    const uint64_t key_hash = run[order[begin].pos].key_hash;
+    end = begin + 1;
+    while (end < order.size() && order[end].key == key) ++end;
+
     LedgerEntry& ledger =
         shard.ledger.try_emplace_hashed(key_hash, key).first->second;
     const bool was_published = !ledger.contributions.empty();
     const bool was_ndk = ledger.published_ndk;
 
     std::vector<PeerId> new_contributors;
-    new_contributors.reserve(contributions.size());
-    for (Contribution& c : contributions) {
+    new_contributors.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      PendingContribution& c = run[order[i].pos];
       new_contributors.push_back(c.peer);
       // Fold the new contribution into the merge cache (sender-side
       // truncation re-applied exactly as InsertPostings transmitted it).
@@ -326,7 +346,7 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
       } else {
         ledger.merged_locals.Merge(c.full);
       }
-      ledger.contributions.push_back(std::move(c));
+      ledger.contributions.push_back(Contribution{c.peer, std::move(c.full)});
     }
     std::sort(ledger.contributions.begin(), ledger.contributions.end(),
               [](const Contribution& a, const Contribution& b) {
@@ -402,7 +422,7 @@ LevelOutcome DistributedGlobalIndex::EndLevelShard(Shard& shard,
       }
     }
   }
-  shard.pending.clear();
+  std::vector<PendingContribution>().swap(shard.pending);
   return outcome;
 }
 
@@ -630,7 +650,7 @@ DistributedGlobalIndex::DepartureBaseline DistributedGlobalIndex::
       }
     }
     shard.ledger.clear();
-    shard.pending.clear();
+    std::vector<PendingContribution>().swap(shard.pending);
   });
 
   // Serial reduce in shard order; the targets are maps, so the resulting

@@ -30,10 +30,10 @@
 // peer, so a key's pending contributions, ledger entry and published
 // fragment slot all live on exactly one shard and never move between
 // shards (overlay growth re-places keys across PEERS, and that handover
-// happens within the key's shard). InsertPostings routes each
-// contribution to its shard under a per-shard mutex (the protocol's
-// parallel per-peer scan waves insert concurrently without a global
-// lock), and the heavy merge paths — EndLevel, Retruncate,
+// happens within the key's shard). InsertPostings appends each
+// contribution to its shard's pending run under a per-shard mutex (the
+// protocol's parallel per-peer scan waves insert concurrently without a
+// global lock), and the heavy merge paths — EndLevel, Retruncate,
 // OnOverlayGrown, EraseKeysContaining and the departure snapshot/
 // reconcile — fan out shard-wise on the thread pool with zero cross-shard
 // contention. Every shard processes its keys in ascending-key order and
@@ -195,22 +195,22 @@ class DistributedGlobalIndex {
   ///
   /// THREAD SAFETY: may be called concurrently (the parallel scan waves
   /// do) once EnsureCapacity() has run for the current overlay size; the
-  /// contribution is buffered on its key's shard under the shard mutex.
+  /// contribution is appended to its key's shard under the shard mutex.
   ///
   /// The hash-carrying overload takes `key_hash` = key.Hash64(): the scan
   /// wave reads it out of the candidate map's hash cache, so overlay
-  /// routing, shard choice and the pending-buffer probe all reuse one
+  /// routing, shard choice and the barrier's ledger probe all reuse one
   /// hash computation. The convenience overload hashes the key itself.
   uint64_t InsertPostings(PeerId src, const hdk::TermKey& key,
                           uint64_t key_hash, index::PostingList full_local,
-                          const HdkParams& params, double avg_doc_length,
+                          const HdkParams& params,
                           bool record_traffic = true);
   uint64_t InsertPostings(PeerId src, const hdk::TermKey& key,
                           index::PostingList full_local,
-                          const HdkParams& params, double avg_doc_length,
+                          const HdkParams& params,
                           bool record_traffic = true) {
     return InsertPostings(src, key, key.Hash64(), std::move(full_local),
-                          params, avg_doc_length, record_traffic);
+                          params, record_traffic);
   }
 
   /// Classifies all keys that received contributions since the last
@@ -444,19 +444,31 @@ class DistributedGlobalIndex {
                           uint64_t key_hash, hdk::KeyEntry entry);
 
  private:
-  /// One shard: the slice of the pending buffer, the ledger and the
-  /// per-peer fragment maps for the keys hashing to it — all flat tables
+  /// One contribution received since the last EndLevel call, with its
+  /// key's cached Hash64 (the barrier's ledger, fragment and routing
+  /// probes reuse it).
+  struct PendingContribution {
+    hdk::TermKey key;
+    PeerId peer = kInvalidPeer;
+    uint64_t key_hash = 0;
+    index::PostingList full;
+  };
+
+  /// One shard: the contributions pending for the keys hashing to it, the
+  /// ledger and the per-peer fragment maps — the maps are flat tables
   /// (hdk::KeyMap) whose entries cache the key's Hash64, so the merge
-  /// paths never re-hash a term array. The mutex guards `pending` against
-  /// concurrent InsertPostings; everything else is touched either from
-  /// serial sections or by exactly one worker during the shard-parallel
-  /// merge paths. `pending` is cleared (capacity kept) at the end of
-  /// every level: the table stays pre-sized at the prior wave's key
-  /// count, so later waves insert without mid-wave rehashes.
+  /// paths never re-hash a term array. The mutex guards `pending` and
+  /// `redelivery` against concurrent InsertPostings; everything else is
+  /// touched either from serial sections or by exactly one worker during
+  /// the shard-parallel merge paths. `pending` is an append-only run: an
+  /// insert is one push_back (no hash probe, no per-key allocation), and
+  /// EndLevelShard sorts it by (key, peer) at the barrier, then releases
+  /// its memory.
   struct Shard {
     std::mutex insert_mu;
-    /// Contributions received since the last EndLevel call.
-    hdk::KeyMap<std::vector<Contribution>> pending;
+    /// Contributions received since the last EndLevel call, in arrival
+    /// order.
+    std::vector<PendingContribution> pending;
     /// Full contribution history per key.
     hdk::KeyMap<LedgerEntry> ledger;
     /// peer -> this shard's slice of the peer's published fragment.
@@ -470,10 +482,7 @@ class DistributedGlobalIndex {
     /// the next level barrier, where the published index catches up.
     /// Guarded by insert_mu.
     struct Redelivery {
-      PeerId src = kInvalidPeer;
-      hdk::TermKey key;
-      uint64_t key_hash = 0;
-      index::PostingList full;
+      PendingContribution contribution;
       uint64_t payload = 0;
     };
     std::vector<Redelivery> redelivery;
@@ -505,7 +514,9 @@ class DistributedGlobalIndex {
   const hdk::KeyEntry* PeekReplica(PeerId holder, uint64_t key_hash,
                                    const hdk::TermKey& key) const;
 
-  /// EndLevel over one shard's pending keys, ascending-key order.
+  /// EndLevel over one shard's pending run: the run is sorted by (key,
+  /// peer) and each key's group folds into its ledger entry, ascending
+  /// key order.
   LevelOutcome EndLevelShard(Shard& shard, const HdkParams& params,
                              double avg_doc_length, bool notify_contributors,
                              bool record_traffic);

@@ -303,7 +303,7 @@ Status HdkIndexingProtocol::Depart(
           std::vector<DocId> key_docs;
           if (s < params_.s_max) key_docs = pl.Documents();
           const uint64_t payload = global_->InsertPostings(
-              peer.id(), key, key_hash, std::move(pl), params_, avgdl,
+              peer.id(), key, key_hash, std::move(pl), params_,
               record_traffic);
           peer.MarkPublished(s, key, key_hash, std::move(key_docs));
           if (record_traffic) {
@@ -440,13 +440,13 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
 
     // Phase 2 (parallel): each task scans its peer's candidates AND
     // inserts them straight into the global index — InsertPostings
-    // buffers each contribution on its key's shard under the shard
+    // appends each contribution to its key's shard under the shard
     // mutex, so the whole wave proceeds without a global lock, and each
     // task frees its candidate map before scanning the next peer (peak
     // memory ~num_threads maps). Every mutation is either task-local
-    // (peer state, per-task counters), per-key commutative (shard
-    // buffers: EndLevel sorts contributors and folds order-independent
-    // merges) or aggregate-only (sharded traffic counters) — so any
+    // (peer state, per-task counters), order-free (the shards' pending
+    // runs: EndLevel sorts them by (key, peer) before folding) or
+    // aggregate-only (sharded traffic counters) — so any
     // insertion interleaving yields the same observable state, and with
     // no pool the loop IS the serial protocol in ascending peer order.
     Stopwatch scan_watch;
@@ -463,7 +463,7 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
 
       // Hash-carrying insert wave: the candidate map caches each key's
       // Hash64, so the published-set probe, overlay routing, shard choice
-      // and pending-buffer probe all reuse it.
+      // and the barrier's ledger probe all reuse it.
       for (size_t ci = 0; ci < candidates.size(); ++ci) {
         auto& [key, pl] = candidates.entry(ci);
         const uint64_t key_hash = candidates.hash_at(ci);
@@ -474,7 +474,7 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
         std::vector<DocId> key_docs;
         if (s < params_.s_max) key_docs = pl.Documents();
         const uint64_t payload = global_->InsertPostings(
-            peer.id(), key, key_hash, std::move(pl), params_, avgdl);
+            peer.id(), key, key_hash, std::move(pl), params_);
         peer.MarkPublished(s, key, key_hash, std::move(key_docs));
         ++task.keys_inserted;
         task.postings_inserted += payload;

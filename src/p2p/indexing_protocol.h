@@ -100,7 +100,7 @@ struct GrowthStats {
 /// (observability for the shard bench; never feeds results, so timing
 /// noise cannot perturb determinism):
 ///   * scan  — the parallel per-peer candidate scans including their
-///             shard-buffered insertions,
+///             insertions into the shards' pending runs,
 ///   * merge — the shard-parallel EndLevel classification/publication.
 struct PhaseTimings {
   double scan_seconds = 0;
@@ -150,13 +150,14 @@ class HdkIndexingProtocol {
   ///                caller before Grow is invoked).
   /// \param traffic traffic sink (outlives the protocol).
   /// \param pool    thread pool the per-peer candidate scans (with their
-  ///                shard-buffered insertions) and the sharded global
-  ///                index's merge paths fan out on (outlives the
-  ///                protocol); nullptr runs the exact serial path.
-  ///                Contributions land in per-key shard buffers and every
-  ///                level is classified in ascending-key order, so
-  ///                parallel builds are posting-for-posting identical to
-  ///                serial ones at any thread count.
+  ///                insertions) and the sharded global index's merge
+  ///                paths fan out on (outlives the protocol); nullptr
+  ///                runs the exact serial path. Contributions are
+  ///                appended to their key's shard in arrival order, and
+  ///                every level barrier sorts them by (key, peer) before
+  ///                classifying in ascending-key order, so parallel
+  ///                builds are posting-for-posting identical to serial
+  ///                ones at any thread count.
   /// \param resilience fault injector / health / retry / replication
   ///                bundle handed to the DistributedGlobalIndex this
   ///                protocol creates in Run(). The default reproduces

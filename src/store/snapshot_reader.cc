@@ -59,6 +59,14 @@ Result<SnapshotReader> SnapshotReader::Open(const std::string& path) {
                                    static_cast<SectionId>(entry.id))) +
                                "' extends past end of file");
     }
+    if (entry.offset % 8 != 0) {
+      // The loader borrows posting and doc-id blobs straight out of the
+      // mapping; they are aligned only if their section is.
+      return Corrupt(path, "section '" +
+                               std::string(SectionIdName(
+                                   static_cast<SectionId>(entry.id))) +
+                               "' payload is not 8-byte aligned");
+    }
     if (SnapshotChecksum(file.data() + entry.offset, entry.length) !=
         entry.checksum) {
       return Corrupt(path, "section '" +

@@ -25,12 +25,14 @@ namespace hdk::store {
 class SectionCursor {
  public:
   SectionCursor(const uint8_t* data, size_t size, std::string section)
-      : p_(data), end_(data + size), section_(std::move(section)) {}
+      : begin_(data), p_(data), end_(data + size),
+        section_(std::move(section)) {}
 
   size_t remaining() const { return static_cast<size_t>(end_ - p_); }
 
   Status ReadBytes(void* out, size_t n) {
     if (remaining() < n) return Truncated(n);
+    if (n == 0) return Status::OK();  // `out` may be null (empty array)
     std::memcpy(out, p_, n);
     p_ += n;
     return Status::OK();
@@ -78,6 +80,23 @@ class SectionCursor {
     return Status::OK();
   }
 
+  /// Counterpart of SnapshotWriter::PadTo: skips the zero bytes that pad
+  /// the section to a multiple of `alignment`; nonzero padding is
+  /// rejected as corruption.
+  Status SkipPadding(size_t alignment) {
+    const size_t offset = static_cast<size_t>(p_ - begin_);
+    const size_t n = (alignment - offset % alignment) % alignment;
+    if (remaining() < n) return Truncated(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (p_[i] != 0) {
+        return Status::IOError("snapshot section '" + section_ +
+                               "': nonzero alignment padding");
+      }
+    }
+    p_ += n;
+    return Status::OK();
+  }
+
   /// Fails unless the section was consumed exactly — a layout drift
   /// (reader and writer disagreeing on a section's contents) is caught
   /// here instead of silently mis-parsing.
@@ -98,6 +117,7 @@ class SectionCursor {
         " remain (truncated or corrupt)");
   }
 
+  const uint8_t* begin_;
   const uint8_t* p_;
   const uint8_t* end_;
   std::string section_;

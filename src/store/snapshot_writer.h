@@ -51,6 +51,15 @@ class SnapshotWriter {
     out.insert(out.end(), bytes, bytes + n);
   }
 
+  /// Zero-pads the open section to a multiple of `alignment` bytes.
+  /// Payloads start 8-byte aligned in the file, so padding to 8 aligns
+  /// the next write in the mapped file as well.
+  void PadTo(size_t alignment) {
+    assert(open_ && "PadTo: no open section");
+    std::vector<uint8_t>& out = sections_.back().bytes;
+    out.resize((out.size() + alignment - 1) / alignment * alignment, 0);
+  }
+
   void WriteU8(uint8_t v) { WriteBytes(&v, sizeof(v)); }
   void WriteU32(uint32_t v) { WriteBytes(&v, sizeof(v)); }
   void WriteU64(uint64_t v) { WriteBytes(&v, sizeof(v)); }

@@ -26,11 +26,11 @@ TEST_F(GlobalIndexTest, AggregatesDfAcrossPeers) {
   hdk::TermKey key{1, 2};
   index_.InsertPostings(0, key,
                         index::PostingList({{0, 1, 10}, {1, 1, 10}}),
-                        Params(10), 10.0);
+                        Params(10));
   index_.InsertPostings(1, key,
                         index::PostingList({{5, 1, 10}, {6, 1, 10},
                                             {7, 1, 10}}),
-                        Params(10), 10.0);
+                        Params(10));
   auto outcome = index_.EndLevel(Params(10), 10.0);
   EXPECT_EQ(outcome.hdks, 1u);
   EXPECT_EQ(outcome.ndks, 0u);
@@ -51,7 +51,7 @@ TEST_F(GlobalIndexTest, ClassifiesNdkAndTruncates) {
   // Sender-side truncation already limits the transmitted payload to the
   // local top-DFmax.
   const uint64_t payload = index_.InsertPostings(
-      0, key, index::PostingList(postings), Params(5), 100.0);
+      0, key, index::PostingList(postings), Params(5));
   EXPECT_EQ(payload, 5u);
   auto outcome = index_.EndLevel(Params(5), 100.0);
   EXPECT_EQ(outcome.ndks, 1u);
@@ -73,8 +73,7 @@ TEST_F(GlobalIndexTest, NotifiesEveryContributorOfAnNdk) {
     for (DocId d = p * 10; d < p * 10 + 4; ++d) {
       postings.push_back({d, 1, 10});
     }
-    index_.InsertPostings(p, key, index::PostingList(postings), Params(10),
-                          10.0);
+    index_.InsertPostings(p, key, index::PostingList(postings), Params(10));
   }
   auto outcome = index_.EndLevel(Params(10), 10.0);  // df 12 > 10
   ASSERT_EQ(outcome.notifications.size(), 1u);
@@ -93,7 +92,7 @@ TEST_F(GlobalIndexTest, LateContributionCrossingDfMaxNotifiesEveryone) {
   hdk::TermKey key{3};
   std::vector<index::Posting> first;
   for (DocId d = 0; d < 6; ++d) first.push_back({d, 1, 10});
-  index_.InsertPostings(0, key, index::PostingList(first), Params(10), 10.0);
+  index_.InsertPostings(0, key, index::PostingList(first), Params(10));
   auto outcome = index_.EndLevel(Params(10), 10.0);
   EXPECT_EQ(outcome.hdks, 1u);
   EXPECT_EQ(outcome.reclassified, 0u);
@@ -101,8 +100,7 @@ TEST_F(GlobalIndexTest, LateContributionCrossingDfMaxNotifiesEveryone) {
 
   std::vector<index::Posting> second;
   for (DocId d = 20; d < 26; ++d) second.push_back({d, 1, 10});
-  index_.InsertPostings(1, key, index::PostingList(second), Params(10),
-                        10.0);
+  index_.InsertPostings(1, key, index::PostingList(second), Params(10));
   outcome = index_.EndLevel(Params(10), 10.0);  // df 12 > 10 now
   EXPECT_EQ(outcome.ndks, 1u);
   EXPECT_EQ(outcome.reclassified, 1u);
@@ -117,14 +115,13 @@ TEST_F(GlobalIndexTest, LateContributionToKnownNdkNotifiesOnlyNewcomer) {
   hdk::TermKey key{5};
   std::vector<index::Posting> first;
   for (DocId d = 0; d < 12; ++d) first.push_back({d, 1, 10});
-  index_.InsertPostings(0, key, index::PostingList(first), Params(10), 10.0);
+  index_.InsertPostings(0, key, index::PostingList(first), Params(10));
   auto outcome = index_.EndLevel(Params(10), 10.0);  // NDK immediately
   EXPECT_EQ(outcome.ndks, 1u);
 
   std::vector<index::Posting> second;
   for (DocId d = 20; d < 23; ++d) second.push_back({d, 1, 10});
-  index_.InsertPostings(1, key, index::PostingList(second), Params(10),
-                        10.0);
+  index_.InsertPostings(1, key, index::PostingList(second), Params(10));
   outcome = index_.EndLevel(Params(10), 10.0);
   EXPECT_EQ(outcome.reclassified, 0u);
   ASSERT_EQ(outcome.notifications.size(), 1u);
@@ -136,8 +133,7 @@ TEST_F(GlobalIndexTest, NotificationsCanBeDisabled) {
   hdk::TermKey key{3};
   std::vector<index::Posting> postings;
   for (DocId d = 0; d < 12; ++d) postings.push_back({d, 1, 10});
-  index_.InsertPostings(0, key, index::PostingList(postings), Params(10),
-                        10.0);
+  index_.InsertPostings(0, key, index::PostingList(postings), Params(10));
   auto outcome = index_.EndLevel(Params(10), 10.0,
                                  /*notify_contributors=*/false);
   EXPECT_EQ(outcome.ndks, 1u);
@@ -151,7 +147,7 @@ TEST_F(GlobalIndexTest, InsertRecordsTraffic) {
   index_.InsertPostings(2, key,
                         index::PostingList({{0, 1, 5}, {1, 1, 5},
                                             {2, 1, 5}}),
-                        Params(10), 5.0);
+                        Params(10));
   const auto& insert =
       traffic_.ByKind(net::MessageKind::kInsertPostings);
   EXPECT_EQ(insert.messages, 1u);
@@ -162,7 +158,7 @@ TEST_F(GlobalIndexTest, FetchRecordsProbeAndResponse) {
   hdk::TermKey key{4};
   index_.InsertPostings(0, key,
                         index::PostingList({{0, 1, 5}, {1, 1, 5}}),
-                        Params(10), 5.0);
+                        Params(10));
   index_.EndLevel(Params(10), 5.0);
 
   const hdk::KeyEntry* entry = index_.FetchFromResilient(3, key).entry;
@@ -188,7 +184,7 @@ TEST_F(GlobalIndexTest, KeysArePlacedByHashOnCorrectFragments) {
   for (TermId t = 0; t < 40; ++t) {
     hdk::TermKey key{t};
     index_.InsertPostings(0, key, index::PostingList({{0, 1, 5}}),
-                          Params(10), 5.0);
+                          Params(10));
   }
   index_.EndLevel(Params(10), 5.0);
   EXPECT_EQ(index_.TotalKeys(), 40u);
@@ -207,7 +203,7 @@ TEST_F(GlobalIndexTest, KeysArePlacedByHashOnCorrectFragments) {
 TEST_F(GlobalIndexTest, OverlayGrowthMigratesResponsibility) {
   for (TermId t = 0; t < 40; ++t) {
     index_.InsertPostings(0, hdk::TermKey{t},
-                          index::PostingList({{0, 1, 5}}), Params(10), 5.0);
+                          index::PostingList({{0, 1, 5}}), Params(10));
   }
   index_.EndLevel(Params(10), 5.0);
 
@@ -227,12 +223,12 @@ TEST_F(GlobalIndexTest, OverlayGrowthMigratesResponsibility) {
 
 TEST_F(GlobalIndexTest, EraseKeysContainingPurgesEverywhere) {
   index_.InsertPostings(0, hdk::TermKey{1}, index::PostingList({{0, 1, 5}}),
-                        Params(10), 5.0);
+                        Params(10));
   index_.InsertPostings(0, hdk::TermKey{2}, index::PostingList({{0, 1, 5}}),
-                        Params(10), 5.0);
+                        Params(10));
   index_.EndLevel(Params(10), 5.0);
   index_.InsertPostings(1, hdk::TermKey{1, 2},
-                        index::PostingList({{5, 1, 5}}), Params(10), 5.0);
+                        index::PostingList({{5, 1, 5}}), Params(10));
   index_.EndLevel(Params(10), 5.0);
 
   EXPECT_EQ(index_.EraseKeysContaining(1), 2u);  // {1} and {1,2}
@@ -246,7 +242,7 @@ TEST_F(GlobalIndexTest, StoredPostingsPerPeerSumsToTotal) {
   for (TermId t = 0; t < 20; ++t) {
     index_.InsertPostings(
         0, hdk::TermKey{t},
-        index::PostingList({{0, 1, 5}, {1, 1, 5}}), Params(10), 5.0);
+        index::PostingList({{0, 1, 5}, {1, 1, 5}}), Params(10));
   }
   index_.EndLevel(Params(10), 5.0);
   uint64_t sum = 0;
@@ -259,14 +255,113 @@ TEST_F(GlobalIndexTest, StoredPostingsPerPeerSumsToTotal) {
 
 TEST_F(GlobalIndexTest, ExportContainsEverything) {
   index_.InsertPostings(0, hdk::TermKey{1},
-                        index::PostingList({{0, 1, 5}}), Params(10), 5.0);
+                        index::PostingList({{0, 1, 5}}), Params(10));
   index_.InsertPostings(1, hdk::TermKey{2, 3},
-                        index::PostingList({{5, 1, 5}}), Params(10), 5.0);
+                        index::PostingList({{5, 1, 5}}), Params(10));
   index_.EndLevel(Params(10), 5.0);
   auto contents = index_.ExportContents();
   EXPECT_EQ(contents.size(), 2u);
   EXPECT_NE(contents.Find(hdk::TermKey{1}), nullptr);
   EXPECT_NE(contents.Find(hdk::TermKey{2, 3}), nullptr);
+}
+
+TEST_F(GlobalIndexTest, ContributionsStayPendingUntilEndLevel) {
+  EXPECT_FALSE(index_.HasPendingContributions());
+  index_.InsertPostings(0, hdk::TermKey{1}, index::PostingList({{0, 1, 5}}),
+                        Params(10));
+  index_.InsertPostings(1, hdk::TermKey{2}, index::PostingList({{5, 1, 5}}),
+                        Params(10));
+  EXPECT_TRUE(index_.HasPendingContributions());
+  EXPECT_EQ(index_.Peek(hdk::TermKey{1}), nullptr);
+  index_.EndLevel(Params(10), 5.0);
+  EXPECT_FALSE(index_.HasPendingContributions());
+  EXPECT_NE(index_.Peek(hdk::TermKey{1}), nullptr);
+}
+
+/// Inserts one contribution per (peer, key) for twelve interleaved keys,
+/// peers in the given order, then closes the level. Peer p holds docs
+/// [100p, 100p + n) with n = 1 + (t + p) % 7, so with df_max 5 some
+/// contributions are locally truncated.
+LevelOutcome FeedPeersInOrder(DistributedGlobalIndex& index,
+                              const std::vector<PeerId>& peers,
+                              const HdkParams& params) {
+  for (PeerId p : peers) {
+    for (TermId t = 0; t < 12; ++t) {
+      std::vector<index::Posting> postings;
+      const DocId n = 1 + (t + p) % 7;
+      for (DocId d = 0; d < n; ++d) {
+        postings.push_back({p * 100 + d, 1 + (d * 7 + t) % 4, 10});
+      }
+      index.InsertPostings(p, hdk::TermKey{t}, index::PostingList(postings),
+                           params);
+    }
+  }
+  return index.EndLevel(params, 10.0);
+}
+
+TEST(ShardedGlobalIndexTest, PeerArrivalOrderDoesNotAffectLedgerOrOutcome) {
+  // The pending run holds contributions in arrival order, which depends
+  // on the scan wave's thread interleaving. Descending and ascending peer
+  // arrival must fold into identical ledgers (contributions ascending by
+  // peer), publish identical entries and send identical notifications.
+  HdkParams params;
+  params.df_max = 5;
+  dht::PGridOverlay overlay(4, 42);
+  net::TrafficRecorder traffic_desc;
+  net::TrafficRecorder traffic_asc;
+  DistributedGlobalIndex desc(&overlay, &traffic_desc);
+  DistributedGlobalIndex asc(&overlay, &traffic_asc);
+  // Two waves, so the second folds into existing ledger entries (and
+  // reclassifies keys that cross df_max).
+  const std::vector<std::vector<PeerId>> waves = {{1, 3}, {0, 2}};
+  uint64_t last_reclassified = 0;
+  for (const std::vector<PeerId>& wave : waves) {
+    const std::vector<PeerId> descending(wave.rbegin(), wave.rend());
+    const LevelOutcome a = FeedPeersInOrder(desc, descending, params);
+    const LevelOutcome b = FeedPeersInOrder(asc, wave, params);
+    EXPECT_EQ(a.hdks, b.hdks);
+    EXPECT_EQ(a.ndks, b.ndks);
+    EXPECT_EQ(a.notification_messages, b.notification_messages);
+    EXPECT_EQ(a.reclassified, b.reclassified);
+    ASSERT_FALSE(a.notifications.empty());
+    ASSERT_EQ(a.notifications.size(), b.notifications.size());
+    for (size_t n = 0; n < a.notifications.size(); ++n) {
+      EXPECT_EQ(a.notifications[n].first, b.notifications[n].first);
+      EXPECT_EQ(a.notifications[n].second, b.notifications[n].second);
+    }
+    last_reclassified = a.reclassified;
+  }
+  EXPECT_GT(last_reclassified, 0u);
+
+  ASSERT_EQ(desc.num_shards(), 1u);
+  const auto& ledger_desc = desc.ShardLedger(0);
+  const auto& ledger_asc = asc.ShardLedger(0);
+  ASSERT_EQ(ledger_desc.size(), 12u);
+  ASSERT_EQ(ledger_asc.size(), 12u);
+  for (TermId t = 0; t < 12; ++t) {
+    const hdk::TermKey key{t};
+    const DistributedGlobalIndex::LedgerEntry& a = ledger_desc.at(key);
+    const DistributedGlobalIndex::LedgerEntry& b = ledger_asc.at(key);
+    ASSERT_EQ(a.contributions.size(), 4u);
+    ASSERT_EQ(b.contributions.size(), 4u);
+    for (PeerId p = 0; p < 4; ++p) {
+      EXPECT_EQ(a.contributions[p].peer, p);
+      EXPECT_EQ(b.contributions[p].peer, p);
+      EXPECT_EQ(a.contributions[p].full, b.contributions[p].full);
+    }
+    EXPECT_EQ(a.global_df, b.global_df);
+    EXPECT_EQ(a.merged_locals, b.merged_locals);
+    EXPECT_EQ(a.published_ndk, b.published_ndk);
+
+    const hdk::KeyEntry* published_a = desc.Peek(key);
+    const hdk::KeyEntry* published_b = asc.Peek(key);
+    ASSERT_NE(published_a, nullptr);
+    ASSERT_NE(published_b, nullptr);
+    EXPECT_EQ(published_a->global_df, published_b->global_df);
+    EXPECT_EQ(published_a->is_hdk, published_b->is_hdk);
+    EXPECT_EQ(published_a->postings, published_b->postings);
+  }
+  EXPECT_EQ(traffic_desc.total(), traffic_asc.total());
 }
 
 TEST(ShardedGlobalIndexTest, DefaultShardCountHeuristic) {
@@ -292,7 +387,7 @@ void FeedWorkload(DistributedGlobalIndex& index, const HdkParams& params) {
         postings.push_back({d, 1, 10});
       }
       index.InsertPostings(p, hdk::TermKey{t},
-                           index::PostingList(postings), params, 10.0);
+                           index::PostingList(postings), params);
     }
   }
 }
@@ -380,7 +475,7 @@ TEST(ShardedGlobalIndexTest, OverlayGrowthMigratesWithinShards) {
                                /*num_shards=*/7);
   for (TermId t = 0; t < 40; ++t) {
     index.InsertPostings(0, hdk::TermKey{t},
-                         index::PostingList({{0, 1, 5}}), params, 5.0);
+                         index::PostingList({{0, 1, 5}}), params);
   }
   index.EndLevel(params, 5.0);
 

@@ -152,6 +152,29 @@ TEST_F(SnapshotCorruptionTest, FlippedPayloadByteFailsChecksum) {
   }
 }
 
+TEST_F(SnapshotCorruptionTest, MisalignedSectionOffsetIsRejected) {
+  // A section table that checksums correctly but points a payload at an
+  // offset that is not 8-byte aligned: the loader would borrow misaligned
+  // posting blobs, so Open must refuse it.
+  std::vector<char> bytes = *bytes_;
+  store::SnapshotHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  ASSERT_GT(header.num_sections, 0u);
+  char* table = bytes.data() + sizeof(header);
+  store::SectionEntry entry;
+  std::memcpy(&entry, table, sizeof(entry));
+  ASSERT_GE(entry.length, 4u);
+  entry.offset += 4;
+  entry.length -= 4;
+  entry.checksum =
+      store::SnapshotChecksum(bytes.data() + entry.offset, entry.length);
+  std::memcpy(table, &entry, sizeof(entry));
+  header.table_checksum = store::SnapshotChecksum(
+      table, header.num_sections * sizeof(store::SectionEntry));
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  ExpectRejected(bytes, "misaligned section offset", "8-byte aligned");
+}
+
 TEST_F(SnapshotCorruptionTest, FlippedTableByteFailsTableChecksum) {
   std::vector<char> bytes = *bytes_;
   bytes[sizeof(store::SnapshotHeader) + 4] ^= 0x5a;

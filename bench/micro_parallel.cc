@@ -6,7 +6,8 @@
 // BENCH_parallel.json. HDK rows also split the build into its scan phase
 // (parallel per-peer candidate scans into the shards' pending runs) and
 // its merge phase (shard-parallel EndLevel), from the engine's
-// phase_timings().
+// phase_timings(), and time one departure repair (Leave of the middle
+// peer, after the batch) whose published contents must match too.
 //
 // Env knobs (see bench_common.h): HDKP2P_BENCH_SCALE=tiny,
 // HDKP2P_CORPUS_CACHE, and HDKP2P_PARALLEL_THREADS to override the
@@ -23,6 +24,7 @@
 #include "engine/engine_factory.h"
 #include "engine/experiment.h"
 #include "engine/hdk_engine.h"
+#include "engine/membership.h"
 #include "engine/partition.h"
 
 namespace {
@@ -49,6 +51,7 @@ struct Point {
   double build_s = 0;
   double batch_s = 0;
   std::optional<p2p::PhaseTimings> phases;  // HDK builds only
+  double leave_s = 0;                       // HDK only
   bool identical = false;
 };
 
@@ -97,11 +100,12 @@ int main() {
                 std::string(engine::EngineKindName(kind)).c_str(),
                 "threads", "build_s", "batch_s", "build_x", "batch_x",
                 "identical");
-    std::printf(hdk ? " %10s %10s\n" : "\n", "scan_s", "merge_s");
+    std::printf(hdk ? " %10s %10s %10s %10s\n" : "\n", "scan_s", "merge_s",
+                "leave_s", "leave_x");
 
-    double serial_build = 0, serial_batch = 0;
+    double serial_build = 0, serial_batch = 0, serial_leave = 0;
     double serial_stored = 0;
-    uint64_t serial_fingerprint = 0;
+    uint64_t serial_fingerprint = 0, serial_departed = 0;
     for (size_t threads : sweep) {
       engine::EngineConfig config;
       config.hdk = setup.MakeParams(setup.DfMaxLow());
@@ -129,19 +133,43 @@ int main() {
 
       const double stored = (*built)->StoredPostingsPerPeer();
       const uint64_t fingerprint = bench::FingerprintBatch(batch);
+
+      // HDK: one departure repair of the middle peer, then the published
+      // contents it left behind.
+      double leave_s = 0;
+      uint64_t departed = 0;
+      if (hdk) {
+        Stopwatch leave_watch;
+        const Status left = (*built)->ApplyMembership(
+            store, {engine::MembershipEvent::Leave(peers / 2)});
+        leave_s = leave_watch.ElapsedSeconds();
+        if (!left.ok()) {
+          std::fprintf(stderr, "leave failed: %s\n",
+                       left.ToString().c_str());
+          return 1;
+        }
+        departed = bench::FingerprintContents(
+            static_cast<const engine::HdkSearchEngine&>(**built)
+                .global_index()
+                .ExportContents());
+      }
       if (threads == 1) {
         serial_build = build_s;
         serial_batch = batch_s;
+        serial_leave = leave_s;
         serial_stored = stored;
         serial_fingerprint = fingerprint;
+        serial_departed = departed;
       }
       Point p;
       p.threads = threads;
       p.build_s = build_s;
       p.batch_s = batch_s;
       p.phases = phases;
-      p.identical =
-          stored == serial_stored && fingerprint == serial_fingerprint;
+      p.leave_s = leave_s;
+      p.identical = stored == serial_stored &&
+                    fingerprint == serial_fingerprint &&
+                    departed == serial_departed;
       es.points.push_back(p);
 
       std::printf("%-12s %8zu %12.3f %12.3f %9.2fx %9.2fx %10s", "",
@@ -150,8 +178,9 @@ int main() {
                   batch_s > 0 ? serial_batch / batch_s : 0.0,
                   p.identical ? "yes" : "NO");
       if (phases) {
-        std::printf(" %10.3f %10.3f", phases->scan_seconds,
-                    phases->merge_seconds);
+        std::printf(" %10.3f %10.3f %10.3f %9.2fx", phases->scan_seconds,
+                    phases->merge_seconds, leave_s,
+                    leave_s > 0 ? serial_leave / leave_s : 0.0);
       }
       std::printf("\n");
       if (!p.identical) {
@@ -191,6 +220,7 @@ int main() {
                  std::string(engine::EngineKindName(es.kind)).c_str());
     const double b1 = es.points.front().build_s;
     const double q1 = es.points.front().batch_s;
+    const double l1 = es.points.front().leave_s;
     for (size_t i = 0; i < es.points.size(); ++i) {
       const Point& p = es.points[i];
       const double end_to_end =
@@ -205,8 +235,11 @@ int main() {
                    p.build_s > 0 ? b1 / p.build_s : 0.0,
                    p.batch_s > 0 ? q1 / p.batch_s : 0.0, end_to_end);
       if (p.phases) {
-        std::fprintf(out, "\"scan_s\": %.6f, \"merge_s\": %.6f, ",
-                     p.phases->scan_seconds, p.phases->merge_seconds);
+        std::fprintf(out,
+                     "\"scan_s\": %.6f, \"merge_s\": %.6f, "
+                     "\"leave_s\": %.6f, \"leave_speedup\": %.3f, ",
+                     p.phases->scan_seconds, p.phases->merge_seconds,
+                     p.leave_s, p.leave_s > 0 ? l1 / p.leave_s : 0.0);
       }
       std::fprintf(out, "\"identical_to_serial\": %s}%s\n",
                    p.identical ? "true" : "false",

@@ -585,6 +585,7 @@ DistributedGlobalIndex::DepartureBaseline DistributedGlobalIndex::
     BeginDeparture(PeerId departing, uint32_t s_max) {
   DepartureBaseline baseline;
   baseline.departed = departing;
+  baseline.s_max = s_max;
   assert(overlay_->num_peers() >= 2);
   assert(departing < overlay_->num_peers());
   // Sync modes: the surviving holders keep their replica state through
@@ -598,31 +599,27 @@ DistributedGlobalIndex::DepartureBaseline DistributedGlobalIndex::
   // The departed peer's ledger share vanishes with it (in the real
   // network its data simply stops being re-served); surviving
   // contributions — renumbered past the freed id — become the replay's
-  // scan-free candidate source.
+  // scan-free candidate source. Each shard drains into its own slice of
+  // the baseline (pure moves), so nothing is left to reduce.
   const size_t survivors = overlay_->num_peers() - 1;
-  baseline.contributions.resize(survivors);
-  for (auto& per_level : baseline.contributions) {
-    per_level.resize(s_max);
-  }
-
-  // Shard-parallel drain into per-shard partials (the published snapshot
-  // and ledger reorganization are pure moves; the expensive part is
-  // walking every entry).
-  struct Part {
-    std::vector<std::tuple<hdk::TermKey, PeerId, hdk::KeyEntry>> published;
-    std::vector<std::tuple<PeerId, uint32_t, hdk::TermKey,
-                           index::PostingList>>
-        survivors;
-    uint64_t removed_contributions = 0;
-    uint64_t removed_postings = 0;
+  baseline.shards.resize(shards_.size());
+  struct Removed {
+    uint64_t contributions = 0;
+    uint64_t postings = 0;
   };
-  std::vector<Part> parts(shards_.size());
+  std::vector<Removed> removed(shards_.size());
   ParallelForEach(pool_, shards_.size(), [&](size_t i) {
     Shard& shard = *shards_[i];
-    Part& part = parts[i];
+    DepartureBaseline::ShardSlice& slice = baseline.shards[i];
+    size_t published = 0;
+    for (const auto& fragment : shard.fragments) published += fragment.size();
+    slice.published.reserve(published);
     for (PeerId owner = 0; owner < shard.fragments.size(); ++owner) {
-      for (auto& [key, entry] : shard.fragments[owner]) {
-        part.published.emplace_back(key, owner, std::move(entry));
+      auto& fragment = shard.fragments[owner];
+      for (size_t pos = 0; pos < fragment.size(); ++pos) {
+        auto& [key, entry] = fragment.entry(pos);
+        slice.published.try_emplace_hashed(fragment.hash_at(pos), key,
+                                           owner, std::move(entry));
       }
     }
     shard.fragments.clear();
@@ -636,59 +633,65 @@ DistributedGlobalIndex::DepartureBaseline DistributedGlobalIndex::
     } else {
       shard.replicas.clear();  // replay publishes re-derive the copies
     }
-    for (auto& [key, ledger] : shard.ledger) {
+    slice.runs.resize(survivors * s_max);
+    for (size_t pos = 0; pos < shard.ledger.size(); ++pos) {
+      auto& [key, ledger] = shard.ledger.entry(pos);
       assert(key.size() >= 1 && key.size() <= s_max);
+      const uint64_t key_hash = shard.ledger.hash_at(pos);
       for (Contribution& c : ledger.contributions) {
         if (c.peer == departing) {
-          ++part.removed_contributions;
-          part.removed_postings += c.full.size();
+          ++removed[i].contributions;
+          removed[i].postings += c.full.size();
           continue;
         }
         const PeerId new_id = c.peer > departing ? c.peer - 1 : c.peer;
-        part.survivors.emplace_back(new_id, key.size() - 1, key,
-                                    std::move(c.full));
+        baseline.Run(i, new_id, key.size())
+            .push_back({key, key_hash, std::move(c.full)});
       }
     }
     shard.ledger.clear();
     std::vector<PendingContribution>().swap(shard.pending);
   });
-
-  // Serial reduce in shard order; the targets are maps, so the resulting
-  // state is independent of that order (and of the shard count).
-  for (Part& part : parts) {
-    baseline.removed_contributions += part.removed_contributions;
-    baseline.removed_postings += part.removed_postings;
-    for (auto& [key, owner, entry] : part.published) {
-      baseline.owners.emplace(key, owner);
-      baseline.published.emplace(key, std::move(entry));
-    }
-    for (auto& [new_id, level, key, full] : part.survivors) {
-      baseline.contributions[new_id][level].emplace(key, std::move(full));
-    }
+  for (const Removed& r : removed) {
+    baseline.removed_contributions += r.contributions;
+    baseline.removed_postings += r.postings;
   }
   return baseline;
 }
 
 DistributedGlobalIndex::DepartureOutcome DistributedGlobalIndex::
-    FinishDeparture(const DepartureBaseline& baseline) {
+    FinishDeparture(DepartureBaseline baseline) {
   const PeerId departed = baseline.departed;
 
+  // A key's shard never changed, so every shard reconciles against its
+  // own baseline slice.
   std::vector<DepartureOutcome> parts(shards_.size());
   ParallelForEach(pool_, shards_.size(), [&](size_t i) {
     Shard& shard = *shards_[i];
+    const hdk::KeyMap<DepartureBaseline::Published>& before =
+        baseline.shards[i].published;
     DepartureOutcome& part = parts[i];
+    // The lowest-id surviving contributor of a republished key: the
+    // source a changed or orphaned entry is re-pulled from.
+    auto first_contributor = [&](uint64_t key_hash, const hdk::TermKey& key) {
+      const auto it = shard.ledger.find_hashed(key_hash, key);
+      assert(it != shard.ledger.end() && !it->second.contributions.empty());
+      return it->second.contributions.front().peer;
+    };
     for (PeerId owner = 0; owner < shard.fragments.size(); ++owner) {
-      for (const auto& [key, entry] : shard.fragments[owner]) {
-        auto old_it = baseline.published.find(key);
-        if (old_it == baseline.published.end()) {
+      const auto& fragment = shard.fragments[owner];
+      for (size_t pos = 0; pos < fragment.size(); ++pos) {
+        const auto& [key, entry] = fragment.entry(pos);
+        const uint64_t key_hash = fragment.hash_at(pos);
+        const auto old_it = before.find_hashed(key_hash, key);
+        if (old_it == before.end()) {
           // A key born from Ff re-admission — its insertion traffic was
           // already recorded by the replay.
           continue;
         }
-        const hdk::KeyEntry& old_entry = old_it->second;
+        const auto& [old_owner, old_entry] = old_it->second;
         if (!old_entry.is_hdk && entry.is_hdk) ++part.reverse_reclassified;
 
-        const PeerId old_owner = baseline.owners.at(key);
         const bool was_on_departed = old_owner == departed;
         const PeerId old_owner_now =
             old_owner > departed ? old_owner - 1 : old_owner;
@@ -698,12 +701,9 @@ DistributedGlobalIndex::DepartureOutcome DistributedGlobalIndex::
           // lowest-id surviving contributor when the departed peer hosted
           // it (the contributors' data stays available, exactly what the
           // contribution ledger models).
-          PeerId src = old_owner_now;
-          if (was_on_departed) {
-            const auto& contributions = shard.ledger.at(key).contributions;
-            assert(!contributions.empty());
-            src = contributions.front().peer;
-          }
+          const PeerId src = was_on_departed
+                                 ? first_contributor(key_hash, key)
+                                 : old_owner_now;
           traffic_->Record(src, owner, net::MessageKind::kMaintenance,
                            entry.postings.size(), /*hops=*/1);
           part.moved_postings += entry.postings.size();
@@ -714,9 +714,7 @@ DistributedGlobalIndex::DepartureOutcome DistributedGlobalIndex::
           // Re-derived in place: the owner re-pulls the changed entry from
           // a surviving contributor (un-truncation restores postings the
           // published fragment no longer carried).
-          const auto& contributions = shard.ledger.at(key).contributions;
-          assert(!contributions.empty());
-          traffic_->Record(contributions.front().peer, owner,
+          traffic_->Record(first_contributor(key_hash, key), owner,
                            net::MessageKind::kMaintenance,
                            entry.postings.size(), /*hops=*/1);
           part.moved_postings += entry.postings.size();
@@ -724,20 +722,27 @@ DistributedGlobalIndex::DepartureOutcome DistributedGlobalIndex::
         }
       }
     }
+    // Keys nobody re-contributed simply cease to exist: their fragments
+    // are dropped by the (old) owners without traffic.
+    for (size_t pos = 0; pos < before.size(); ++pos) {
+      const uint64_t key_hash = before.hash_at(pos);
+      const auto& fragment = shard.fragments[overlay_->Responsible(key_hash)];
+      if (fragment.find_hashed(key_hash, before.entry(pos).first) ==
+          fragment.end()) {
+        ++part.erased_keys;
+      }
+    }
+    // Free the slice here, on the pool, rather than serially afterwards.
+    baseline.shards[i] = {};
   });
 
   DepartureOutcome outcome;
   for (const DepartureOutcome& part : parts) {
+    outcome.erased_keys += part.erased_keys;
     outcome.reverse_reclassified += part.reverse_reclassified;
     outcome.migrated_keys += part.migrated_keys;
     outcome.repaired_keys += part.repaired_keys;
     outcome.moved_postings += part.moved_postings;
-  }
-
-  // Keys nobody re-contributed simply cease to exist: their fragments are
-  // dropped by the (old) owners without traffic.
-  for (const auto& [key, entry] : baseline.published) {
-    if (Peek(key) == nullptr) ++outcome.erased_keys;
   }
 
   if (replica_defer_) {

@@ -36,9 +36,10 @@
 // global lock), and the heavy merge paths — EndLevel, Retruncate,
 // OnOverlayGrown, EraseKeysContaining and the departure snapshot/
 // reconcile — fan out shard-wise on the thread pool with zero cross-shard
-// contention. Every shard processes its keys in ascending-key order and
-// the per-shard partial outcomes are reduced in deterministic (ascending
-// key, then ascending peer) order, so published postings, notifications,
+// contention (the departure baseline itself is kept per shard). Every
+// shard processes its keys in ascending-key order and the per-shard
+// partial outcomes are reduced in deterministic (ascending key, then
+// ascending peer) order, so published postings, notifications,
 // traffic counters and reclassification counts are identical for every
 // shard and thread count; with no pool the index runs one shard on the
 // caller — the exact serial path.
@@ -107,15 +108,39 @@ class DistributedGlobalIndex {
 
   /// Snapshot taken when a departure repair begins (see BeginDeparture):
   /// the pre-departure published state plus the surviving contribution
-  /// history, reorganized for the protocol's ledger-driven replay.
+  /// history, reorganized for the protocol's ledger-driven replay. It is
+  /// SHARD-LOCAL: a key's shard never changes on departure, so each shard
+  /// keeps its own slice, the replay re-inserts it shard by shard and
+  /// FinishDeparture reconciles every shard against its own slice — there
+  /// is no global map to reduce into.
   struct DepartureBaseline {
+    /// A pre-departure published entry and its owner (old peer id).
+    struct Published {
+      PeerId owner = kInvalidPeer;
+      hdk::KeyEntry entry;
+    };
+    /// One surviving contribution: a survivor's full local posting list
+    /// for one key, with the key's cached Hash64.
+    struct Kept {
+      hdk::TermKey key;
+      uint64_t key_hash = 0;
+      index::PostingList full;
+    };
+    struct ShardSlice {
+      hdk::KeyMap<Published> published;
+      /// runs[p * s_max + s - 1]: surviving peer p's (renumbered id)
+      /// contributions to this shard's size-s keys, in ledger order.
+      std::vector<std::vector<Kept>> runs;
+    };
+
+    /// Surviving peer p's contributions to shard `shard`'s size-s keys.
+    std::vector<Kept>& Run(size_t shard, PeerId p, uint32_t s) {
+      return shards[shard].runs[p * s_max + s - 1];
+    }
+
     PeerId departed = kInvalidPeer;
-    /// Pre-departure published entries and their owners (old peer ids).
-    hdk::KeyMap<hdk::KeyEntry> published;
-    hdk::KeyMap<PeerId> owners;
-    /// contributions[p][s - 1]: surviving peer p's (renumbered id) full
-    /// local posting list per size-s key it had contributed.
-    std::vector<std::vector<hdk::KeyMap<index::PostingList>>> contributions;
+    uint32_t s_max = 0;
+    std::vector<ShardSlice> shards;  // one per index shard, shard order
     /// The departed peer's dropped ledger share.
     uint64_t removed_contributions = 0;
     uint64_t removed_postings = 0;
@@ -240,7 +265,8 @@ class DistributedGlobalIndex {
   /// contribution history. Must be called while the overlay still
   /// contains the departing peer (owners are captured under the old
   /// placement); the caller then shrinks the overlay and replays.
-  /// The snapshot scan runs shard-parallel.
+  /// Each shard drains into its own baseline slice on the pool; nothing
+  /// is reduced serially.
   DepartureBaseline BeginDeparture(PeerId departing, uint32_t s_max);
 
   /// Reconciles the replayed index against the pre-departure `baseline`
@@ -248,8 +274,10 @@ class DistributedGlobalIndex {
   /// whose fragment moved (carrying the published postings, re-pulled
   /// from a surviving contributor when the departed peer hosted it) or
   /// whose published content changed in place (reverse reclassification,
-  /// avgdl re-truncation). The reconcile scan runs shard-parallel.
-  DepartureOutcome FinishDeparture(const DepartureBaseline& baseline);
+  /// avgdl re-truncation). Each shard is compared with its own baseline
+  /// slice on the pool, erased keys included, and releases the slice
+  /// there.
+  DepartureOutcome FinishDeparture(DepartureBaseline baseline);
 
   /// Removes every key containing term `t` from the ledger and the
   /// fragments — used when a term crosses the very-frequent threshold Ff

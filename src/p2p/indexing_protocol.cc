@@ -248,80 +248,83 @@ Status HdkIndexingProtocol::Depart(
   //    basis left with the departed data), plus — only when terms were
   //    re-admitted — the targeted delta scan over the freshly generable
   //    candidates. Nothing already hosted in the network travels again;
-  //    only re-admission keys record insert traffic.
+  //    only re-admission keys record insert traffic. Each level's
+  //    per-survivor work is one insert wave on the pool, exactly like the
+  //    build's: every task touches only its own peer and its own baseline
+  //    runs, and EndLevel sorts each shard's pending run by (key, peer),
+  //    so the insert interleaving leaves no trace.
+  using Kept = DistributedGlobalIndex::DepartureBaseline::Kept;
   const double avgdl = stats.average_document_length();
+  global_->EnsureCapacity();
   std::vector<bool> rescan_counted(peers_.size(), false);
   for (uint32_t s = 1; s <= params_.s_max; ++s) {
     ProtocolLevelStats& level_stats = report_.levels[s - 1];
-    for (Peer& peer : peers_) {
-      hdk::KeyMap<index::PostingList> kept =
-          std::move(baseline.contributions[peer.id()][s - 1]);
-      hdk::KeyMap<index::PostingList> fresh;
-      if (s == 1) {
-        // Level-1 candidates only depend on the vocabulary, which never
-        // shrank for the survivors — everything is kept; re-admitted
-        // terms are scanned back in.
-        if (!readmitted.empty()) {
-          hdk::CandidateBuildStats generation;
-          auto full = peer.BuildLevel1(store_, very_frequent_, &generation);
-          level_stats.generation += generation;
-          if (!rescan_counted[peer.id()]) {
-            rescan_counted[peer.id()] = true;
-            ++stats_out.rescanned_peers;
+    struct ReplayTask {
+      hdk::CandidateBuildStats generation;
+      bool rescanned = false;
+      uint64_t retracted = 0;
+      uint64_t keys_inserted = 0;  // recorded (re-admission) insertions
+      uint64_t postings_inserted = 0;
+    };
+    std::vector<ReplayTask> tasks(peers_.size());
+    LevelOutcome outcome = LevelWave(
+        s, avgdl, tasks.size(), /*record_traffic=*/false, [&](size_t i) {
+          ReplayTask& task = tasks[i];
+          Peer& peer = peers_[i];
+          // Fresh candidates first: the level-1 re-admission scan (level-1
+          // candidates otherwise only depend on the vocabulary, which
+          // never shrank for the survivors) or the delta scan of the
+          // knowledge the replay re-taught.
+          hdk::KeyMap<index::PostingList> fresh;
+          if (s == 1 ? !readmitted.empty() : peer.HasFreshKnowledge()) {
+            fresh = s == 1 ? peer.BuildLevel1(store_, very_frequent_,
+                                              &task.generation)
+                           : peer.BuildLevelDelta(s, store_,
+                                                  &task.generation);
+            task.rescanned = true;
           }
-          for (auto& [key, pl] : full) {
-            if (readmitted.count(key.term(0)) > 0) {
-              fresh.emplace(key, std::move(pl));
+          // The walk starts at shard p mod N, so concurrent tasks begin
+          // on different shard mutexes.
+          const size_t num_shards = baseline.shards.size();
+          for (size_t k = 0; k < num_shards; ++k) {
+            const size_t shard = (peer.id() + k) % num_shards;
+            std::vector<Kept>& run = baseline.Run(shard, peer.id(), s);
+            for (auto& [key, key_hash, full] : run) {
+              if (s > 1 && !hdk::GenerableUnder(key, peer.oracle())) {
+                ++task.retracted;
+                continue;
+              }
+              InsertCandidate(peer, s, key, key_hash, std::move(full),
+                              /*record_traffic=*/false);
             }
+            std::vector<Kept>().swap(run);  // release as we go
           }
-        }
-      } else {
-        for (auto it = kept.begin(); it != kept.end();) {
-          if (hdk::GenerableUnder(it->first, peer.oracle())) {
-            ++it;
-          } else {
-            ++stats_out.retracted_keys;
-            it = kept.erase(it);
+          for (size_t ci = 0; ci < fresh.size(); ++ci) {
+            auto& [key, pl] = fresh.entry(ci);
+            if (s == 1 && readmitted.count(key.term(0)) == 0) continue;
+            ++task.keys_inserted;
+            task.postings_inserted +=
+                InsertCandidate(peer, s, key, fresh.hash_at(ci),
+                                std::move(pl), /*record_traffic=*/true);
           }
-        }
-        if (peer.HasFreshKnowledge()) {
-          hdk::CandidateBuildStats generation;
-          fresh = peer.BuildLevelDelta(s, store_, &generation);
-          level_stats.generation += generation;
-          if (!rescan_counted[peer.id()]) {
-            rescan_counted[peer.id()] = true;
-            ++stats_out.rescanned_peers;
-          }
-        }
-      }
+        });
 
-      auto insert_all = [&](hdk::KeyMap<index::PostingList>& candidates,
-                            bool record_traffic) {
-        for (size_t ci = 0; ci < candidates.size(); ++ci) {
-          auto& [key, pl] = candidates.entry(ci);
-          const uint64_t key_hash = candidates.hash_at(ci);
-          std::vector<DocId> key_docs;
-          if (s < params_.s_max) key_docs = pl.Documents();
-          const uint64_t payload = global_->InsertPostings(
-              peer.id(), key, key_hash, std::move(pl), params_,
-              record_traffic);
-          peer.MarkPublished(s, key, key_hash, std::move(key_docs));
-          if (record_traffic) {
-            ++level_stats.keys_inserted;
-            level_stats.postings_inserted += payload;
-            report_.inserted_postings_per_peer[peer.id()] += payload;
-            ++stats_out.repair_insertions;
-            stats_out.repair_postings += payload;
-          }
-        }
-      };
-      insert_all(kept, /*record_traffic=*/false);
-      insert_all(fresh, /*record_traffic=*/true);
+    // Reduce the per-task counters in ascending peer order.
+    for (PeerId p = 0; p < tasks.size(); ++p) {
+      const ReplayTask& task = tasks[p];
+      level_stats.generation += task.generation;
+      if (task.rescanned && !rescan_counted[p]) {
+        rescan_counted[p] = true;
+        ++stats_out.rescanned_peers;
+      }
+      stats_out.retracted_keys += task.retracted;
+      level_stats.keys_inserted += task.keys_inserted;
+      level_stats.postings_inserted += task.postings_inserted;
+      report_.inserted_postings_per_peer[p] += task.postings_inserted;
+      stats_out.repair_insertions += task.keys_inserted;
+      stats_out.repair_postings += task.postings_inserted;
     }
 
-    LevelOutcome outcome =
-        global_->EndLevel(params_, avgdl, /*notify_contributors=*/
-                          s < params_.s_max, /*record_traffic=*/false);
     if (s < params_.s_max) {
       for (const auto& [key, contributors] : outcome.notifications) {
         const PeerId owner = global_->ResponsiblePeer(key);
@@ -372,7 +375,7 @@ Status HdkIndexingProtocol::Depart(
   //    handovers, in-place repairs and reverse reclassifications record
   //    their churn traffic here.
   DistributedGlobalIndex::DepartureOutcome outcome =
-      global_->FinishDeparture(baseline);
+      global_->FinishDeparture(std::move(baseline));
   stats_out.erased_keys = outcome.erased_keys;
   stats_out.reverse_reclassified = outcome.reverse_reclassified;
   stats_out.migrated_keys = outcome.migrated_keys;
@@ -387,6 +390,39 @@ Status HdkIndexingProtocol::Depart(
   }
   if (departure != nullptr) *departure = stats_out;
   return Status::OK();
+}
+
+uint64_t HdkIndexingProtocol::InsertCandidate(Peer& peer, uint32_t s,
+                                              const hdk::TermKey& key,
+                                              uint64_t key_hash,
+                                              index::PostingList full,
+                                              bool record_traffic) {
+  // Keys below the top level can become expansion material later;
+  // remember which local documents carry them (delta-scan targets).
+  std::vector<DocId> key_docs;
+  if (s < params_.s_max) key_docs = full.Documents();
+  const uint64_t payload = global_->InsertPostings(
+      peer.id(), key, key_hash, std::move(full), params_, record_traffic);
+  peer.MarkPublished(s, key, key_hash, std::move(key_docs));
+  return payload;
+}
+
+LevelOutcome HdkIndexingProtocol::LevelWave(
+    uint32_t s, double avgdl, size_t num_tasks, bool record_traffic,
+    const std::function<void(size_t)>& task) {
+  Stopwatch scan_watch;
+  ParallelForEach(pool_, num_tasks, task);
+  phase_timings_.scan_seconds += scan_watch.ElapsedSeconds();
+
+  // Notifications are pointless at the last level (size filtering stops
+  // expansion), so the protocol disables them there. EndLevel fans out
+  // over the index shards and reduces in ascending-key order.
+  Stopwatch merge_watch;
+  LevelOutcome outcome =
+      global_->EndLevel(params_, avgdl, /*notify_contributors=*/
+                        s < params_.s_max, record_traffic);
+  phase_timings_.merge_seconds += merge_watch.ElapsedSeconds();
+  return outcome;
 }
 
 void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
@@ -449,38 +485,35 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
     // aggregate-only (sharded traffic counters) — so any
     // insertion interleaving yields the same observable state, and with
     // no pool the loop IS the serial protocol in ascending peer order.
-    Stopwatch scan_watch;
-    ParallelForEach(pool_, tasks.size(), [&](size_t i) {
-      ScanTask& task = tasks[i];
-      Peer& peer = *task.peer;
-      hdk::KeyMap<index::PostingList> candidates =
-          s == 1 ? peer.BuildLevel1(store_, very_frequent_, &task.generation)
-          : task.is_new
-              ? peer.BuildLevel(s, store_, &task.generation,
-                                task.reserve_hint)
-              : peer.BuildLevelDelta(s, store_, &task.generation);
-      task.candidates = candidates.size();
+    // The level barrier (EndLevel) closes the wave.
+    LevelOutcome outcome = LevelWave(
+        s, avgdl, tasks.size(), /*record_traffic=*/true, [&](size_t i) {
+          ScanTask& task = tasks[i];
+          Peer& peer = *task.peer;
+          hdk::KeyMap<index::PostingList> candidates =
+              s == 1 ? peer.BuildLevel1(store_, very_frequent_,
+                                        &task.generation)
+              : task.is_new
+                  ? peer.BuildLevel(s, store_, &task.generation,
+                                    task.reserve_hint)
+                  : peer.BuildLevelDelta(s, store_, &task.generation);
+          task.candidates = candidates.size();
 
-      // Hash-carrying insert wave: the candidate map caches each key's
-      // Hash64, so the published-set probe, overlay routing, shard choice
-      // and the barrier's ledger probe all reuse it.
-      for (size_t ci = 0; ci < candidates.size(); ++ci) {
-        auto& [key, pl] = candidates.entry(ci);
-        const uint64_t key_hash = candidates.hash_at(ci);
-        if (!task.is_new && peer.HasPublished(s, key, key_hash)) continue;
-        // Keys below the top level can become expansion material
-        // later; remember which local documents carry them (delta-scan
-        // targets).
-        std::vector<DocId> key_docs;
-        if (s < params_.s_max) key_docs = pl.Documents();
-        const uint64_t payload = global_->InsertPostings(
-            peer.id(), key, key_hash, std::move(pl), params_);
-        peer.MarkPublished(s, key, key_hash, std::move(key_docs));
-        ++task.keys_inserted;
-        task.postings_inserted += payload;
-      }
-    });
-    phase_timings_.scan_seconds += scan_watch.ElapsedSeconds();
+          // Hash-carrying insert wave: the candidate map caches each
+          // key's Hash64, so the published-set probe, overlay routing,
+          // shard choice and the barrier's ledger probe all reuse it.
+          for (size_t ci = 0; ci < candidates.size(); ++ci) {
+            auto& [key, pl] = candidates.entry(ci);
+            const uint64_t key_hash = candidates.hash_at(ci);
+            if (!task.is_new && peer.HasPublished(s, key, key_hash)) {
+              continue;
+            }
+            ++task.keys_inserted;
+            task.postings_inserted +=
+                InsertCandidate(peer, s, key, key_hash, std::move(pl),
+                                /*record_traffic=*/true);
+          }
+        });
 
     // Phase 3 (serial): reduce the per-task counters in ascending peer
     // order.
@@ -497,13 +530,6 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
       }
     }
 
-    // Notifications are pointless at the last level (size filtering stops
-    // expansion), so the protocol disables them there. EndLevel fans out
-    // over the index shards and reduces in ascending-key order.
-    Stopwatch merge_watch;
-    LevelOutcome outcome = global_->EndLevel(
-        params_, avgdl, /*notify_contributors=*/s < params_.s_max);
-    phase_timings_.merge_seconds += merge_watch.ElapsedSeconds();
     level_stats.notifications += outcome.notification_messages;
     if (growth != nullptr) growth->reclassified_keys += outcome.reclassified;
 

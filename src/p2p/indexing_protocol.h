@@ -96,10 +96,12 @@ struct GrowthStats {
   uint64_t rescanned_peers = 0;
 };
 
-/// Cumulative wall-clock split of the protocol's two build phases
-/// (observability for the shard bench; never feeds results, so timing
-/// noise cannot perturb determinism):
-///   * scan  — the parallel per-peer candidate scans including their
+/// Cumulative wall-clock split of the protocol's two level phases across
+/// Run, every Grow and every Depart (observability for perfbench and
+/// bench/micro_parallel; never feeds results, so timing noise cannot
+/// perturb determinism):
+///   * scan  — the parallel per-peer insert waves: candidate scans (or,
+///             on departure, the ledger replay) including their
 ///             insertions into the shards' pending runs,
 ///   * merge — the shard-parallel EndLevel classification/publication.
 struct PhaseTimings {
@@ -138,6 +140,8 @@ struct DepartureStats {
   /// What the post-repair anti-entropy reconciliation shipped (sync
   /// modes only — see sync/sync.h; all-zero under SyncMode::kOff).
   sync::SyncStats replica_sync;
+
+  bool operator==(const DepartureStats&) const = default;
 };
 
 /// Runs the indexing protocol over a growing set of peers.
@@ -200,6 +204,11 @@ class HdkIndexingProtocol {
   /// posting identical to a from-scratch build over the surviving
   /// document ranges (asserted by the membership-churn tests).
   ///
+  /// Each level's replay is one insert wave on the pool, like the
+  /// build's: every survivor filters its own shard-local baseline runs and
+  /// re-inserts them, so the repair is identical at every thread and
+  /// shard count.
+  ///
   /// `stats` must describe the SURVIVING collection (ranges-based).
   /// `shrink_overlay` is invoked exactly once, after the pre-departure
   /// placement has been snapshotted — the caller owns the overlay, so it
@@ -212,7 +221,8 @@ class HdkIndexingProtocol {
   /// Cumulative report, current after every Run/Grow/Depart.
   const IndexingReport& report() const { return report_; }
 
-  /// Cumulative scan/merge wall-clock split across Run and every Grow.
+  /// Cumulative scan/merge wall-clock split across Run, every Grow and
+  /// every Depart.
   const PhaseTimings& phase_timings() const { return phase_timings_; }
 
   size_t num_peers() const { return peers_.size(); }
@@ -253,6 +263,22 @@ class HdkIndexingProtocol {
   /// candidate delta that knowledge makes newly generable.
   void RunLevels(const corpus::CollectionStats& stats, size_t first_new_peer,
                  GrowthStats* growth);
+
+  /// One level's insert wave, shared by RunLevels and Depart's replay:
+  /// `task(i)` runs for every i < num_tasks on the pool (timed into
+  /// scan_seconds), then the level barrier EndLevel classifies and
+  /// publishes (timed into merge_seconds; notifications below s_max only).
+  LevelOutcome LevelWave(uint32_t s, double avgdl, size_t num_tasks,
+                         bool record_traffic,
+                         const std::function<void(size_t)>& task);
+
+  /// Inserts one level-s candidate of `peer` into the global index and
+  /// marks it published, remembering its local documents below the top
+  /// level (delta-scan targets). Returns the transmitted payload. Safe in
+  /// concurrent tasks of distinct peers once EnsureCapacity() has run.
+  uint64_t InsertCandidate(Peer& peer, uint32_t s, const hdk::TermKey& key,
+                           uint64_t key_hash, index::PostingList full,
+                           bool record_traffic);
 
   const HdkParams params_;
   const corpus::DocumentStore& store_;

@@ -7,6 +7,7 @@
 // with the departed peer, and Ff re-admission of terms whose collection
 // frequency fell back under the very-frequent threshold.
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,10 +17,14 @@
 #include "corpus/synthetic.h"
 #include "engine/centralized.h"
 #include "engine/engine_factory.h"
+#include "engine/fingerprint.h"
 #include "engine/hdk_engine.h"
 #include "engine/membership.h"
 #include "engine/partition.h"
 #include "engine/st_engine.h"
+#include "net/fault.h"
+#include "net/traffic.h"
+#include "sync/sync.h"
 
 namespace hdk::engine {
 namespace {
@@ -167,81 +172,146 @@ TEST(MembershipChurnTest, ReverseReclassificationAndFfReadmission) {
   // wave-2 peer that carried those occurrences must revert both — term 1
   // re-enters the key vocabulary (targeted delta re-scan), {2} flips back
   // to a full-posting HDK, and the expansion key {2,3} is RETRACTED
-  // because the knowledge that generated it is gone.
-  HdkEngineConfig config;
-  config.hdk.df_max = 8;
-  config.hdk.very_frequent_threshold = 25;
-  config.hdk.window = 8;
-  config.hdk.s_max = 3;
+  // because the knowledge that generated it is gone. The only departure
+  // whose replay transmits fresh insertions: it runs serially and on 4
+  // threads, and both repairs must agree counter for counter.
+  std::vector<p2p::DepartureStats> departures;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    HdkEngineConfig config;
+    config.hdk.df_max = 8;
+    config.hdk.very_frequent_threshold = 25;
+    config.hdk.window = 8;
+    config.hdk.s_max = 3;
+    config.num_threads = threads;
 
+    corpus::DocumentStore store;
+    auto filler = [](DocId d, uint32_t i) -> TermId {
+      return 1000 + d * 16 + i;  // unique background terms
+    };
+    auto add_doc = [&](std::vector<TermId> front) {
+      const DocId d = static_cast<DocId>(store.size());
+      while (front.size() < 12) {
+        front.push_back(filler(d, static_cast<uint32_t>(front.size())));
+      }
+      store.Add(std::move(front));
+    };
+
+    // Wave 1: 60 documents on 2 peers (cf(1) = 20, df(2) = 6, df(3) = 18).
+    for (DocId d = 0; d < 60; ++d) {
+      std::vector<TermId> front;
+      if (d < 20) front.push_back(1);
+      if (d >= 20 && d < 26) {
+        front.push_back(2);
+        front.push_back(3);
+      }
+      if (d >= 26 && d < 38) front.push_back(3);
+      add_doc(std::move(front));
+    }
+    auto churned = HdkSearchEngine::Build(config, store, SplitEvenly(60, 2));
+    ASSERT_TRUE(churned.ok()) << churned.status().ToString();
+
+    // Wave 2: 60 documents on 2 joining peers. Peer 2 (docs 60..90)
+    // carries everything that crosses the thresholds: cf(1) = 35 > 25,
+    // df(2) = 11 > 8.
+    for (DocId d = 60; d < 120; ++d) {
+      std::vector<TermId> front;
+      if (d >= 60 && d < 75) front.push_back(1);
+      if (d >= 80 && d < 85) front.push_back(2);
+      add_doc(std::move(front));
+    }
+    ASSERT_TRUE((*churned)->AddPeers(store, JoinRanges(60, 2, 30)).ok());
+    EXPECT_EQ((*churned)->global_index().Peek(hdk::TermKey{1}), nullptr);
+    EXPECT_NE((*churned)->global_index().Peek(hdk::TermKey{2, 3}), nullptr);
+
+    // Churn the crossing peer out again.
+    ASSERT_TRUE(
+        (*churned)->ApplyMembership(store, {MembershipEvent::Leave(2)}).ok());
+    const p2p::DepartureStats& d = (*churned)->last_departure();
+    EXPECT_EQ(d.departed, 2u);
+    EXPECT_GE(d.readmitted_terms, 1u);   // term 1: cf back to 20 <= 25
+    EXPECT_GE(d.reverse_reclassified, 1u);  // {2}: df back to 6 <= 8
+    EXPECT_GE(d.retracted_keys, 1u);     // {2,3} lost its basis
+    EXPECT_GE(d.rescanned_peers, 1u);    // term-1 re-admission delta scans
+    EXPECT_GT(d.repair_insertions, 0u);  // re-admitted keys travelled
+    departures.push_back(d);
+
+    // Term 1 is a key again; {2} is a discriminative full-posting key; the
+    // stale expansion {2,3} is gone.
+    const hdk::KeyEntry* one =
+        (*churned)->global_index().Peek(hdk::TermKey{1});
+    ASSERT_NE(one, nullptr);
+    EXPECT_EQ(one->global_df, 20u);
+    const hdk::KeyEntry* two =
+        (*churned)->global_index().Peek(hdk::TermKey{2});
+    ASSERT_NE(two, nullptr);
+    EXPECT_TRUE(two->is_hdk);
+    EXPECT_EQ(two->global_df, 6u);
+    EXPECT_EQ((*churned)->global_index().Peek(hdk::TermKey{2, 3}), nullptr);
+
+    // And the whole index equals a from-scratch build over the survivors.
+    const std::vector<DocRange> survivors = (*churned)->peer_ranges();
+    ASSERT_EQ(survivors.size(), 3u);
+    auto scratch = HdkSearchEngine::Build(config, store, survivors);
+    ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+    ExpectSameContents((*scratch)->global_index().ExportContents(),
+                       (*churned)->global_index().ExportContents());
+  }
+  ASSERT_EQ(departures.size(), 2u);
+  EXPECT_TRUE(departures[0] == departures[1]);
+}
+
+TEST(MembershipChurnTest, ReplicatedLossyDepartureIsThreadCountInvariant) {
+  // A departure under replication 2 with IBF replica sync and lossy
+  // replica pushes: the repair's replay runs on the pool and its replica
+  // reconciliation ships over a lossy channel, yet the outcome — repair
+  // counters, reconciliation stats, per-kind traffic and published
+  // contents — is the same at 1 and 4 threads, and the reconciliation
+  // leaves no replica diverged.
+  corpus::SyntheticCorpus corpus = ChurnCorpus();
   corpus::DocumentStore store;
-  auto filler = [](DocId d, uint32_t i) -> TermId {
-    return 1000 + d * 16 + i;  // unique background terms
+  corpus.FillStore(300, &store);
+
+  struct Outcome {
+    p2p::DepartureStats departure;
+    std::vector<net::TrafficCounters> by_kind;
+    uint64_t contents = 0;
   };
-  auto add_doc = [&](std::vector<TermId> front) {
-    const DocId d = static_cast<DocId>(store.size());
-    while (front.size() < 12) {
-      front.push_back(filler(d, static_cast<uint32_t>(front.size())));
+  std::vector<Outcome> outcomes;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    HdkEngineConfig config = ChurnConfig(threads);
+    config.replication = 2;
+    config.sync.mode = sync::SyncMode::kIbf;
+    config.faults = *net::FaultPlan::Parse("seed=7,loss.ReplicaPush=0.05");
+    auto engine = HdkSearchEngine::Build(config, store, SplitEvenly(300, 5));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE(
+        (*engine)->ApplyMembership(store, {MembershipEvent::Leave(2)}).ok());
+    EXPECT_EQ((*engine)->global_index().CountReplicaDivergence(), 0u);
+
+    Outcome outcome;
+    outcome.departure = (*engine)->last_departure();
+    for (size_t k = 0; k < net::kNumMessageKinds; ++k) {
+      outcome.by_kind.push_back(
+          (*engine)->traffic()->ByKind(static_cast<net::MessageKind>(k)));
     }
-    store.Add(std::move(front));
-  };
-
-  // Wave 1: 60 documents on 2 peers (cf(1) = 20, df(2) = 6, df(3) = 18).
-  for (DocId d = 0; d < 60; ++d) {
-    std::vector<TermId> front;
-    if (d < 20) front.push_back(1);
-    if (d >= 20 && d < 26) {
-      front.push_back(2);
-      front.push_back(3);
-    }
-    if (d >= 26 && d < 38) front.push_back(3);
-    add_doc(std::move(front));
+    outcome.contents =
+        FingerprintContents((*engine)->global_index().ExportContents());
+    outcomes.push_back(std::move(outcome));
   }
-  auto churned = HdkSearchEngine::Build(config, store, SplitEvenly(60, 2));
-  ASSERT_TRUE(churned.ok()) << churned.status().ToString();
-
-  // Wave 2: 60 documents on 2 joining peers. Peer 2 (docs 60..90) carries
-  // everything that crosses the thresholds: cf(1) = 35 > 25, df(2) = 11 >
-  // 8.
-  for (DocId d = 60; d < 120; ++d) {
-    std::vector<TermId> front;
-    if (d >= 60 && d < 75) front.push_back(1);
-    if (d >= 80 && d < 85) front.push_back(2);
-    add_doc(std::move(front));
+  ASSERT_EQ(outcomes.size(), 2u);
+  const Outcome& serial = outcomes[0];
+  const Outcome& parallel = outcomes[1];
+  // The replay did real repair work and the reconciliation ran.
+  EXPECT_GT(serial.departure.migrated_keys, 0u);
+  EXPECT_GT(serial.departure.replica_sync.pairs_diverged, 0u);
+  EXPECT_TRUE(serial.departure == parallel.departure);  // replica_sync too
+  for (size_t k = 0; k < net::kNumMessageKinds; ++k) {
+    EXPECT_EQ(serial.by_kind[k], parallel.by_kind[k])
+        << net::MessageKindName(static_cast<net::MessageKind>(k));
   }
-  ASSERT_TRUE((*churned)->AddPeers(store, JoinRanges(60, 2, 30)).ok());
-  EXPECT_EQ((*churned)->global_index().Peek(hdk::TermKey{1}), nullptr);
-  EXPECT_NE((*churned)->global_index().Peek(hdk::TermKey{2, 3}), nullptr);
-
-  // Churn the crossing peer out again.
-  ASSERT_TRUE(
-      (*churned)->ApplyMembership(store, {MembershipEvent::Leave(2)}).ok());
-  const p2p::DepartureStats& d = (*churned)->last_departure();
-  EXPECT_EQ(d.departed, 2u);
-  EXPECT_GE(d.readmitted_terms, 1u);   // term 1: cf back to 20 <= 25
-  EXPECT_GE(d.reverse_reclassified, 1u);  // {2}: df back to 6 <= 8
-  EXPECT_GE(d.retracted_keys, 1u);     // {2,3} lost its basis
-  EXPECT_GE(d.rescanned_peers, 1u);    // term-1 re-admission delta scans
-  EXPECT_GT(d.repair_insertions, 0u);  // re-admitted keys travelled
-
-  // Term 1 is a key again; {2} is a discriminative full-posting key; the
-  // stale expansion {2,3} is gone.
-  const hdk::KeyEntry* one = (*churned)->global_index().Peek(hdk::TermKey{1});
-  ASSERT_NE(one, nullptr);
-  EXPECT_EQ(one->global_df, 20u);
-  const hdk::KeyEntry* two = (*churned)->global_index().Peek(hdk::TermKey{2});
-  ASSERT_NE(two, nullptr);
-  EXPECT_TRUE(two->is_hdk);
-  EXPECT_EQ(two->global_df, 6u);
-  EXPECT_EQ((*churned)->global_index().Peek(hdk::TermKey{2, 3}), nullptr);
-
-  // And the whole index equals a from-scratch build over the survivors.
-  const std::vector<DocRange> survivors = (*churned)->peer_ranges();
-  ASSERT_EQ(survivors.size(), 3u);
-  auto scratch = HdkSearchEngine::Build(config, store, survivors);
-  ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
-  ExpectSameContents((*scratch)->global_index().ExportContents(),
-                     (*churned)->global_index().ExportContents());
+  EXPECT_EQ(serial.contents, parallel.contents);
 }
 
 TEST(MembershipChurnTest, SingleTermDepartureEqualsFromScratchBuild) {

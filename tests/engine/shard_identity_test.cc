@@ -2,9 +2,11 @@
 // published index and every traffic counter are identical at every thread
 // count (and therefore every shard count — the heuristic picks 1 shard at
 // num_threads == 1 and a pow2 multiple of the worker count otherwise) for
-// a fresh build, a growth wave, and a join/leave/join churn sequence, on
-// both overlays. Runs in the CI ThreadSanitizer job: the shard-parallel
-// EndLevel/InsertPostings merge path is exactly what it stresses.
+// a fresh build, a growth wave, and a join/leave/join churn sequence (its
+// departure repair's statistics included), on both overlays. Runs in the
+// CI ThreadSanitizer job: the shard-parallel EndLevel/InsertPostings
+// merge path and the departure's parallel replay are exactly what it
+// stresses.
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -18,6 +20,7 @@
 #include "engine/partition.h"
 #include "hdk/indexer.h"
 #include "net/traffic.h"
+#include "p2p/indexing_protocol.h"
 
 namespace hdk::engine {
 namespace {
@@ -53,6 +56,7 @@ struct StageSnapshot {
   uint64_t total_keys = 0;
   uint64_t stored_postings = 0;
   uint64_t reclassified = 0;  // cumulative growth observability
+  p2p::DepartureStats departure;  // the most recent departure repair
 };
 
 StageSnapshot Capture(const std::string& stage,
@@ -67,6 +71,7 @@ StageSnapshot Capture(const std::string& stage,
   snap.total_keys = engine.global_index().TotalKeys();
   snap.stored_postings = engine.global_index().TotalStoredPostings();
   snap.reclassified = engine.last_growth().reclassified_keys;
+  snap.departure = engine.last_departure();
   return snap;
 }
 
@@ -77,6 +82,8 @@ void ExpectSameSnapshot(const StageSnapshot& want, const StageSnapshot& got,
   EXPECT_EQ(want.total_keys, got.total_keys);
   EXPECT_EQ(want.stored_postings, got.stored_postings);
   EXPECT_EQ(want.reclassified, got.reclassified);
+  // Counter-for-counter identity of the departure repair.
+  EXPECT_TRUE(want.departure == got.departure);
   // Posting-for-posting identity of the published index.
   ASSERT_EQ(want.contents.size(), got.contents.size());
   for (const auto& [key, entry] : want.contents.entries()) {

@@ -7,9 +7,9 @@
 
 namespace hdk::dht {
 
-std::vector<PeerId> ReplicaHolders(const Overlay& overlay, uint64_t key_hash,
-                                   uint32_t replication) {
-  std::vector<PeerId> holders;
+HolderList ReplicaHolders(const Overlay& overlay, uint64_t key_hash,
+                          uint32_t replication) {
+  HolderList holders;
   holders.push_back(overlay.Responsible(key_hash));
   const size_t want =
       std::min<size_t>(std::max<uint32_t>(replication, 1), overlay.num_peers());

@@ -10,6 +10,7 @@
 #ifndef HDKP2P_DHT_OVERLAY_H_
 #define HDKP2P_DHT_OVERLAY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -49,14 +50,50 @@ class Overlay {
                std::vector<PeerId>* path = nullptr) const;
 };
 
+/// A key's holder sequence (see ReplicaHolders). The first kInline
+/// holders live inline, so placing a key at the usual replication
+/// factors never touches the heap — the reconcile collect places every
+/// published key on each run; a larger factor spills to a vector.
+class HolderList {
+ public:
+  static constexpr size_t kInline = 4;
+
+  size_t size() const { return size_; }
+  PeerId operator[](size_t i) const { return data()[i]; }
+  PeerId* begin() { return data(); }
+  PeerId* end() { return data() + size_; }
+  const PeerId* begin() const { return data(); }
+  const PeerId* end() const { return data() + size_; }
+
+  void push_back(PeerId p) {
+    if (size_ < kInline) {
+      inline_[size_++] = p;
+      return;
+    }
+    if (size_ == kInline) spill_.assign(inline_, inline_ + kInline);
+    spill_.push_back(p);
+    ++size_;
+  }
+
+ private:
+  PeerId* data() { return size_ <= kInline ? inline_ : spill_.data(); }
+  const PeerId* data() const {
+    return size_ <= kInline ? inline_ : spill_.data();
+  }
+
+  size_t size_ = 0;
+  PeerId inline_[kInline] = {};
+  std::vector<PeerId> spill_;
+};
+
 /// The fragment holders of `key_hash` under `overlay`: the responsible
 /// peer first, then `replication - 1` distinct peers derived by salted
 /// re-hashing of the placement hash. Deterministic for a fixed overlay —
 /// this is THE replica placement: the global index, the anti-entropy
 /// reconciler and the snapshot inspector all derive holder sets through
 /// this one function.
-std::vector<PeerId> ReplicaHolders(const Overlay& overlay, uint64_t key_hash,
-                                   uint32_t replication);
+HolderList ReplicaHolders(const Overlay& overlay, uint64_t key_hash,
+                          uint32_t replication);
 
 }  // namespace hdk::dht
 

@@ -18,8 +18,8 @@ Result<std::unique_ptr<CentralizedBm25Engine>> CentralizedBm25Engine::Build(
   engine->store_ = &store;
   engine->params_ = params;
   engine->pool_ = ThreadPool::MakeIfParallel(num_threads);
-  HDK_RETURN_NOT_OK(engine->IndexRange(0, num_docs));
   engine->ranges_.emplace_back(0, num_docs);
+  HDK_RETURN_NOT_OK(engine->IndexRanges(engine->ranges_));
   engine->frontier_ = num_docs;
   return engine;
 }
@@ -39,27 +39,44 @@ CentralizedBm25Engine::BuildOverRanges(
   engine->store_ = &store;
   engine->params_ = params;
   engine->pool_ = ThreadPool::MakeIfParallel(num_threads);
+  HDK_RETURN_NOT_OK(engine->IndexRanges(peer_ranges));
   for (const auto& [first, last] : peer_ranges) {
-    HDK_RETURN_NOT_OK(engine->IndexRange(first, last));
     engine->frontier_ = std::max(engine->frontier_, last);
   }
   engine->ranges_ = std::move(peer_ranges);
   return engine;
 }
 
-Status CentralizedBm25Engine::IndexRange(DocId first, DocId last) {
-  const size_t n = last - first;
-  if (pool_ == nullptr || n < 2) {
-    return index_.AddRange(*store_, first, last);
+Status CentralizedBm25Engine::IndexRanges(std::span<const DocRange> ranges) {
+  // The ranges' documents laid end to end: range r holds the positions
+  // [offset[r], offset[r + 1]).
+  std::vector<size_t> offset = {0};
+  for (const auto& [first, last] : ranges) {
+    offset.push_back(offset.back() + (last - first));
   }
+  const size_t n = offset.back();
+  // Indexes positions [begin, end) into `into`, range by range.
+  auto index_positions = [&](index::InvertedIndex& into, size_t begin,
+                             size_t end) {
+    for (size_t r = 0; r < ranges.size(); ++r) {
+      const size_t lo = std::max(begin, offset[r]);
+      const size_t hi = std::min(end, offset[r + 1]);
+      if (lo >= hi) continue;
+      HDK_RETURN_NOT_OK(into.AddRange(
+          *store_, ranges[r].first + static_cast<DocId>(lo - offset[r]),
+          ranges[r].first + static_cast<DocId>(hi - offset[r])));
+    }
+    return Status::OK();
+  };
+  if (pool_ == nullptr || n < 2) return index_positions(index_, 0, n);
+  // One fork/join over every position of the call, then one merge per
+  // chunk, in chunk order.
   const size_t chunks = pool_->num_threads();
   std::vector<index::InvertedIndex> parts(chunks);
   std::vector<Status> statuses(chunks, Status::OK());
   ParallelChunks(pool_.get(), n,
                  [&](size_t begin, size_t end, size_t chunk) {
-                   statuses[chunk] = parts[chunk].AddRange(
-                       *store_, first + static_cast<DocId>(begin),
-                       first + static_cast<DocId>(end));
+                   statuses[chunk] = index_positions(parts[chunk], begin, end);
                  });
   for (const Status& st : statuses) HDK_RETURN_NOT_OK(st);
   for (const index::InvertedIndex& part : parts) {
@@ -105,8 +122,8 @@ Status CentralizedBm25Engine::ApplyMembership(
   return DispatchMembershipEvents(
       events,
       [&](const std::vector<DocRange>& wave) {
+        HDK_RETURN_NOT_OK(IndexRanges(wave));
         for (const DocRange& range : wave) {
-          HDK_RETURN_NOT_OK(IndexRange(range.first, range.second));
           ranges_.push_back(range);
           frontier_ = std::max(frontier_, range.second);
         }

@@ -106,9 +106,11 @@ class CentralizedBm25Engine : public SearchEngine {
   Status ValidateEvents(const corpus::DocumentStore& store,
                         std::span<const MembershipEvent> events) const;
 
-  /// Indexes [first, last): chunked across the pool, merged in chunk
-  /// order — identical to a serial AddRange.
-  Status IndexRange(DocId first, DocId last);
+  /// Indexes every document of the disjoint `ranges` (a whole build or
+  /// join wave): one fork/join over all their documents laid end to end,
+  /// each chunk merged once, in chunk order — identical to a serial
+  /// AddRange per range.
+  Status IndexRanges(std::span<const DocRange> ranges);
 
   const corpus::DocumentStore* store_ = nullptr;
   std::unique_ptr<ThreadPool> pool_;  // nullptr = serial

@@ -203,7 +203,7 @@ void DistributedGlobalIndex::PublishReplicas(Shard& shard,
   if (shard.replicas.size() < shard.fragments.size()) {
     shard.replicas.resize(shard.fragments.size());
   }
-  const std::vector<PeerId> holders = HoldersFor(key_hash);
+  const dht::HolderList holders = HoldersFor(key_hash);
   const bool best_effort =
       res_.sync.mode != sync::SyncMode::kOff && record_traffic;
   for (size_t i = 1; i < holders.size(); ++i) {
@@ -237,7 +237,7 @@ void DistributedGlobalIndex::PublishReplicas(Shard& shard,
   }
 }
 
-std::vector<PeerId> DistributedGlobalIndex::HoldersFor(
+dht::HolderList DistributedGlobalIndex::HoldersFor(
     uint64_t key_hash) const {
   return dht::ReplicaHolders(*overlay_, key_hash, res_.replication);
 }
@@ -485,7 +485,7 @@ uint64_t DistributedGlobalIndex::EraseKeysContaining(TermId t) {
         // — the classic silent-divergence source the anti-entropy sweep
         // exists to heal.
         net::Channel channel(traffic_, res_);
-        const std::vector<PeerId> holders = HoldersFor(key_hash);
+        const dht::HolderList holders = HoldersFor(key_hash);
         for (size_t h = 1; h < holders.size(); ++h) {
           const PeerId holder = holders[h];
           if (holder >= shard.replicas.size()) continue;
@@ -779,7 +779,7 @@ DistributedGlobalIndex::FetchResult DistributedGlobalIndex::FetchFromResilient(
 
   net::Channel channel(traffic_, res_);
   const PeerId primary = overlay_->Responsible(ring_key);
-  std::vector<PeerId> holders = HoldersFor(ring_key);
+  dht::HolderList holders = HoldersFor(ring_key);
   // Health-driven failover order: suspects (strained peers) last,
   // relative order otherwise preserved — the primary leads on a healthy
   // network.
@@ -925,7 +925,7 @@ void DistributedGlobalIndex::RebuildReplicasShard(Shard& shard) {
     for (size_t pos = 0; pos < fragment.size(); ++pos) {
       const auto& [key, entry] = fragment.entry(pos);
       const uint64_t key_hash = fragment.hash_at(pos);
-      const std::vector<PeerId> holders = HoldersFor(key_hash);
+      const dht::HolderList holders = HoldersFor(key_hash);
       for (size_t i = 1; i < holders.size(); ++i) {
         shard.replicas[holders[i]]
             .try_emplace_hashed(key_hash, key)
@@ -974,7 +974,7 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
 
   // Phase 1 (shard-parallel): collect what each holder SHOULD store
   // (desired: fragments x salted placement) and what it DOES store
-  // (actual: the replica maps).
+  // (actual: the replica maps), bucketed per (shard, holder).
   struct Side {
     std::vector<std::vector<Rec>> desired;  // per holder
     std::vector<std::vector<Rec>> actual;
@@ -990,7 +990,7 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
       for (size_t pos = 0; pos < fragment.size(); ++pos) {
         const auto& [key, entry] = fragment.entry(pos);
         const uint64_t key_hash = fragment.hash_at(pos);
-        const std::vector<PeerId> holders = HoldersFor(key_hash);
+        const dht::HolderList holders = HoldersFor(key_hash);
         for (size_t i = 1; i < holders.size(); ++i) {
           part.desired[holders[i]].push_back(
               Rec{holders[0], key_hash, EntryDigest(key_hash, entry),
@@ -1012,43 +1012,50 @@ sync::SyncStats DistributedGlobalIndex::ReconcileReplicas(
     }
   });
 
-  // Serial regroup per holder, then sort (primary, digest): the per-pair
-  // digest sets become contiguous runs, identical for every shard/thread
-  // count.
-  std::vector<std::vector<Rec>> desired(num_peers), actual(num_peers);
-  for (Side& part : parts) {
-    for (size_t h = 0; h < num_peers; ++h) {
-      std::move(part.desired[h].begin(), part.desired[h].end(),
-                std::back_inserter(desired[h]));
-      std::move(part.actual[h].begin(), part.actual[h].end(),
-                std::back_inserter(actual[h]));
-    }
-  }
   auto by_pair = [](const Rec& a, const Rec& b) {
     return std::tie(a.primary, a.digest, a.key_hash) <
            std::tie(b.primary, b.digest, b.key_hash);
   };
 
   // Phase 2 (holder-parallel): reconcile each (primary, holder) pair.
-  // Worker h mutates only shard.replicas[h] (fragments are read-only),
-  // so workers never touch the same map; fault decisions are pure hashes
-  // salted by (epoch, pair, leg), so the outcome is thread-independent.
+  // Worker h first gathers its own records from every shard's bucket, in
+  // shard order, freeing each bucket as it goes; then it sorts them by
+  // (primary, digest, key hash) so the per-pair digest sets become
+  // contiguous runs. That key is unique per holder, so the result is
+  // identical for every shard/thread count. Worker h mutates only parts[*].{desired,actual}[h]
+  // and shard.replicas[h] (fragments are read-only), so workers never
+  // touch the same container; fault decisions are pure hashes salted by
+  // (epoch, pair, leg), so the outcome is thread-independent.
   std::vector<sync::SyncStats> partials(num_peers);
   ParallelForEach(pool_, num_peers, [&](size_t h) {
-    std::vector<Rec>& want = desired[h];
-    std::vector<Rec>& have = actual[h];
-    std::sort(want.begin(), want.end(), by_pair);
-    std::sort(have.begin(), have.end(), by_pair);
+    auto gather = [&](std::vector<std::vector<Rec>> Side::*side) {
+      size_t total = 0;
+      for (const Side& part : parts) total += (part.*side)[h].size();
+      std::vector<Rec> recs;
+      recs.reserve(total);
+      for (Side& part : parts) {
+        std::vector<Rec>& bucket = (part.*side)[h];
+        std::move(bucket.begin(), bucket.end(), std::back_inserter(recs));
+        std::vector<Rec>().swap(bucket);
+      }
+      std::sort(recs.begin(), recs.end(), by_pair);
+      return recs;
+    };
+    const std::vector<Rec> want = gather(&Side::desired);
+    const std::vector<Rec> have = gather(&Side::actual);
     sync::SyncStats& part = partials[h];
     net::Channel channel(traffic_, res_);
     const PeerId holder = static_cast<PeerId>(h);
 
+    // Within one pair's run [begin, end) the primary is fixed, so the
+    // run is sorted by digest: the first match is its lower bound.
     auto find_by_digest = [](const std::vector<Rec>& recs, size_t begin,
                              size_t end, uint64_t digest) -> const Rec* {
-      for (size_t i = begin; i < end; ++i) {
-        if (recs[i].digest == digest) return &recs[i];
-      }
-      return nullptr;
+      const auto first = recs.begin() + begin, last = recs.begin() + end;
+      const auto it = std::lower_bound(
+          first, last, digest,
+          [](const Rec& rec, uint64_t d) { return rec.digest < d; });
+      return it != last && it->digest == digest ? &*it : nullptr;
     };
     auto erase_actual = [&](const Rec& rec) {
       auto& replica = shards_[rec.shard]->replicas[holder];
@@ -1236,7 +1243,7 @@ uint64_t DistributedGlobalIndex::CountReplicaDivergence() const {
         const uint64_t key_hash = fragment.hash_at(pos);
         const uint64_t digest =
             EntryDigest(key_hash, fragment.entry(pos).second);
-        const std::vector<PeerId> holders = HoldersFor(key_hash);
+        const dht::HolderList holders = HoldersFor(key_hash);
         for (size_t i = 1; i < holders.size(); ++i) {
           want.emplace_back(holders[i], key_hash, digest);
         }
@@ -1326,23 +1333,27 @@ uint64_t DistributedGlobalIndex::TotalKeys() const {
   return total;
 }
 
-void DistributedGlobalIndex::CountKeys(uint32_t level, uint64_t* hdks,
-                                       uint64_t* ndks) const {
-  uint64_t h = 0, n = 0;
-  for (const auto& shard : shards_) {
-    for (const auto& fragment : shard->fragments) {
+std::vector<DistributedGlobalIndex::KeyCounts>
+DistributedGlobalIndex::CountKeysPerLevel(uint32_t s_max) const {
+  std::vector<std::vector<KeyCounts>> parts(shards_.size(),
+                                            std::vector<KeyCounts>(s_max));
+  ParallelForEach(pool_, shards_.size(), [&](size_t i) {
+    for (const auto& fragment : shards_[i]->fragments) {
       for (const auto& [key, entry] : fragment) {
-        if (level != 0 && key.size() != level) continue;
-        if (entry.is_hdk) {
-          ++h;
-        } else {
-          ++n;
-        }
+        if (key.size() > s_max) continue;
+        KeyCounts& counts = parts[i][key.size() - 1];
+        ++(entry.is_hdk ? counts.hdks : counts.ndks);
       }
     }
+  });
+  std::vector<KeyCounts> total(s_max);
+  for (const std::vector<KeyCounts>& part : parts) {
+    for (uint32_t s = 0; s < s_max; ++s) {
+      total[s].hdks += part[s].hdks;
+      total[s].ndks += part[s].ndks;
+    }
   }
-  if (hdks != nullptr) *hdks = h;
-  if (ndks != nullptr) *ndks = n;
+  return total;
 }
 
 hdk::HdkIndexContents DistributedGlobalIndex::ExportContents() const {

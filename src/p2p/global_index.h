@@ -359,8 +359,8 @@ class DistributedGlobalIndex {
   /// The key's fragment holders under the current overlay: the
   /// responsible peer first, then `replication - 1` distinct peers
   /// derived by salted re-hashing of the placement hash. Deterministic
-  /// for a fixed overlay.
-  std::vector<PeerId> HoldersFor(uint64_t key_hash) const;
+  /// for a fixed overlay. Inline storage: no heap allocation per key.
+  dht::HolderList HoldersFor(uint64_t key_hash) const;
 
   /// Re-derives every replica map from the primary fragments (no
   /// traffic). Called after bulk state adoption (snapshot load) and
@@ -430,9 +430,15 @@ class DistributedGlobalIndex {
   uint64_t KeysAt(PeerId peer) const;
   uint64_t TotalKeys() const;
 
-  /// Exact published-classification counts for keys of size `level`
-  /// (0 = all sizes).
-  void CountKeys(uint32_t level, uint64_t* hdks, uint64_t* ndks) const;
+  /// Published HDK / NDK counts of one key size.
+  struct KeyCounts {
+    uint64_t hdks = 0;
+    uint64_t ndks = 0;
+  };
+  /// Exact published-classification counts per key size: element s - 1
+  /// counts the size-s keys, s = 1..s_max. One shard-parallel walk over
+  /// every fragment.
+  std::vector<KeyCounts> CountKeysPerLevel(uint32_t s_max) const;
 
   /// Flattens the fragments into logical contents (identical, by
   /// construction, to what the centralized indexer produces — asserted by

@@ -371,6 +371,12 @@ Status HdkIndexingProtocol::Depart(
     }
   }
 
+  // The pre-departure peers are no longer needed: free them on the
+  // pool rather than on the caller.
+  ParallelForEach(pool_, prior.size(), [&](size_t i) {
+    const Peer released = std::move(prior[i]);
+  });
+
   // 6. Reconcile against the pre-departure published state: fragment
   //    handovers, in-place repairs and reverse reclassifications record
   //    their churn traffic here.
@@ -384,10 +390,7 @@ Status HdkIndexingProtocol::Depart(
   stats_out.replica_sync = outcome.replica_sync;
 
   // Keep the published classification counts exact.
-  for (uint32_t s = 1; s <= params_.s_max; ++s) {
-    global_->CountKeys(s, &report_.levels[s - 1].hdks,
-                       &report_.levels[s - 1].ndks);
-  }
+  RecountKeys();
   if (departure != nullptr) *departure = stats_out;
   return Status::OK();
 }
@@ -552,9 +555,15 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
 
   // Keep the published classification counts exact (a growth step may
   // reclassify keys inserted long ago).
+  RecountKeys();
+}
+
+void HdkIndexingProtocol::RecountKeys() {
+  const std::vector<DistributedGlobalIndex::KeyCounts> counts =
+      global_->CountKeysPerLevel(params_.s_max);
   for (uint32_t s = 1; s <= params_.s_max; ++s) {
-    global_->CountKeys(s, &report_.levels[s - 1].hdks,
-                       &report_.levels[s - 1].ndks);
+    report_.levels[s - 1].hdks = counts[s - 1].hdks;
+    report_.levels[s - 1].ndks = counts[s - 1].ndks;
   }
 }
 

@@ -272,6 +272,10 @@ class HdkIndexingProtocol {
                          bool record_traffic,
                          const std::function<void(size_t)>& task);
 
+  /// Refreshes every level's published HDK / NDK counts in the report
+  /// from the global index (one fragment walk for all levels).
+  void RecountKeys();
+
   /// Inserts one level-s candidate of `peer` into the global index and
   /// marks it published, remembering its local documents below the top
   /// level (delta-scan targets). Returns the transmitted payload. Safe in

@@ -1,9 +1,11 @@
 // Property tests run against BOTH overlay implementations: any structured
 // overlay must satisfy these regardless of topology.
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -138,6 +140,36 @@ TEST_P(OverlayPropertyTest, RemovalAfterGrowthKeepsIdsDense) {
   for (int i = 0; i < 200; ++i) {
     PeerId owner = overlay->Responsible(rng.Next());
     EXPECT_LT(owner, overlay->num_peers());
+  }
+}
+
+TEST_P(OverlayPropertyTest, ReplicaHoldersAreADistinctPrefixWalk) {
+  // Factors past HolderList::kInline exercise the spill to the heap; the
+  // salted walk extends the shorter lists, so each factor's holders are a
+  // prefix of the next factor's.
+  auto overlay = Make();
+  Rng rng(8);
+  for (int i = 0; i < 200; ++i) {
+    const uint64_t key_hash = rng.Next();
+    std::vector<PeerId> previous;
+    for (uint32_t r = 1; r <= 2 * HolderList::kInline + 1; ++r) {
+      const HolderList holders = ReplicaHolders(*overlay, key_hash, r);
+      const std::vector<PeerId> got(holders.begin(), holders.end());
+      ASSERT_FALSE(got.empty());
+      EXPECT_EQ(got.front(), overlay->Responsible(key_hash));
+      EXPECT_LE(got.size(), std::min<size_t>(r, overlay->num_peers()));
+      std::vector<PeerId> sorted = got;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
+                sorted.end());
+      for (size_t j = 0; j < got.size(); ++j) {
+        EXPECT_EQ(got[j], holders[j]);
+        EXPECT_LT(got[j], overlay->num_peers());
+      }
+      ASSERT_GE(got.size(), previous.size());
+      EXPECT_TRUE(std::equal(previous.begin(), previous.end(), got.begin()));
+      previous = got;
+    }
   }
 }
 

@@ -269,9 +269,9 @@ class HdkSearchEngine : public SearchEngine {
   uint64_t maintenance_sweeps_ = 0;
   sync::SyncStats last_maintenance_sweep_;
   /// Set only on snapshot-restored engines: keeps the snapshot's mmap
-  /// alive, because restored posting lists and published-doc lists
-  /// borrow their elements straight from the mapped file until first
-  /// mutation (see index::PostingList / CowVec).
+  /// alive, because restored posting lists (ledger contributions and
+  /// published fragments) borrow their elements straight from the mapped
+  /// file until first mutation (see index::PostingList).
   std::shared_ptr<store::SnapshotReader> snapshot_backing_;
   const corpus::DocumentStore* store_ = nullptr;
   std::unique_ptr<corpus::CollectionStats> stats_;

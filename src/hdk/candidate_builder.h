@@ -54,6 +54,14 @@ class NdkOracle {
   virtual bool IsNdk(const TermKey& k) const = 0;
 };
 
+/// True when `key` contains at least one term of `terms`.
+inline bool ContainsAnyOf(const TermKey& key, const TermIdSet& terms) {
+  for (TermId t : key.terms()) {
+    if (terms.count(t) > 0) return true;
+  }
+  return false;
+}
+
 /// Set-backed oracle used by the centralized indexer and by tests.
 class SetNdkOracle : public NdkOracle {
  public:
@@ -65,14 +73,16 @@ class SetNdkOracle : public NdkOracle {
   bool AddExpandableTerm(TermId t) { return terms_.insert(t).second; }
   bool AddNdk(const TermKey& k) { return ndks_.insert(k).second; }
 
-  /// Forgets a term that crossed the very-frequent threshold Ff while the
-  /// collection grew, together with every known NDK containing it: a
-  /// from-scratch build over the grown collection would exclude the term
-  /// from the key vocabulary entirely. Returns true if anything changed.
-  bool PurgeTerm(TermId t) {
-    bool changed = terms_.erase(t) > 0;
+  /// Forgets the terms that crossed the very-frequent threshold Ff while
+  /// the collection grew, together with every known NDK containing one of
+  /// them (one pass over the NDKs): a from-scratch build over the grown
+  /// collection would exclude the terms from the key vocabulary entirely.
+  /// Returns true if anything changed.
+  bool PurgeTerms(const TermIdSet& purged) {
+    bool changed = false;
+    for (TermId t : purged) changed |= terms_.erase(t) > 0;
     for (auto it = ndks_.begin(); it != ndks_.end();) {
-      if (it->Contains(t)) {
+      if (ContainsAnyOf(*it, purged)) {
         it = ndks_.erase(it);
         changed = true;
       } else {
@@ -138,14 +148,15 @@ struct OracleDelta {
   void AddNdk(const TermKey& k) {
     if (ndks.insert(k).second && k.size() == 2) ndk_pairs.push_back(k);
   }
-  /// Forgets everything about a purged (newly very frequent) term.
-  void PurgeTerm(TermId t) {
-    terms.erase(t);
+  /// Forgets everything about purged (newly very frequent) terms.
+  void PurgeTerms(const TermIdSet& purged) {
+    for (TermId t : purged) terms.erase(t);
     for (auto it = ndks.begin(); it != ndks.end();) {
-      it = it->Contains(t) ? ndks.erase(it) : std::next(it);
+      it = ContainsAnyOf(*it, purged) ? ndks.erase(it) : std::next(it);
     }
-    std::erase_if(ndk_pairs,
-                  [t](const TermKey& k) { return k.Contains(t); });
+    std::erase_if(ndk_pairs, [&](const TermKey& k) {
+      return ContainsAnyOf(k, purged);
+    });
   }
   void Clear() {
     terms.clear();

@@ -108,9 +108,11 @@ std::vector<index::ScoredDoc> RankFetchedKeys(
   FlatMap<DocId, double, IdHasher> scores;
   scores.reserve(total_postings);
   for (const FetchedKey& f : fetched) {
-    if (f.postings == nullptr) continue;
+    if (f.postings == nullptr || f.postings->empty()) continue;
+    // One log per key; a zero df scores 0, as in Score().
+    const double idf = f.global_df == 0 ? 0.0 : scorer.Idf(f.global_df);
     for (const index::Posting& p : f.postings->postings()) {
-      scores[p.doc] += scorer.Score(p.tf, f.global_df, p.doc_length);
+      scores[p.doc] += scorer.ScoreWithIdf(idf, p.tf, p.doc_length);
     }
   }
   index::TopK topk(k);

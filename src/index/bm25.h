@@ -31,7 +31,14 @@ class Bm25Scorer {
   /// \param tf         term frequency in the document.
   /// \param df         document frequency of the term in the collection.
   /// \param doc_length document length in tokens.
-  double Score(uint32_t tf, Freq df, uint32_t doc_length) const;
+  double Score(uint32_t tf, Freq df, uint32_t doc_length) const {
+    return df == 0 ? 0.0 : ScoreWithIdf(Idf(df), tf, doc_length);
+  }
+
+  /// Score() with the IDF component supplied (`idf` = Idf(df), df > 0):
+  /// the per-key ranking loops compute the log once per posting list and
+  /// get bit-identical scores.
+  double ScoreWithIdf(double idf, uint32_t tf, uint32_t doc_length) const;
 
   uint64_t num_docs() const { return num_docs_; }
   double avg_doc_len() const { return avg_doc_len_; }

@@ -21,9 +21,10 @@ std::vector<ScoredDoc> Bm25Searcher::Search(std::span<const TermId> query,
   std::unordered_map<DocId, double> scores;
   for (TermId t : terms) {
     const PostingList& pl = idx_.Postings(t);
-    const Freq df = pl.size();
+    if (pl.empty()) continue;
+    const double idf = scorer.Idf(pl.size());
     for (const Posting& p : pl.postings()) {
-      scores[p.doc] += scorer.Score(p.tf, df, p.doc_length);
+      scores[p.doc] += scorer.ScoreWithIdf(idf, p.tf, p.doc_length);
     }
   }
 

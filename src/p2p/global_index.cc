@@ -460,14 +460,15 @@ LevelOutcome DistributedGlobalIndex::EndLevel(const HdkParams& params,
   return outcome;
 }
 
-uint64_t DistributedGlobalIndex::EraseKeysContaining(TermId t) {
+uint64_t DistributedGlobalIndex::EraseKeysContaining(const TermIdSet& terms) {
+  if (terms.empty()) return 0;
   std::vector<uint64_t> erased(shards_.size(), 0);
   ParallelForEach(pool_, shards_.size(), [&](size_t i) {
     Shard& shard = *shards_[i];
     size_t pos = 0;
     while (pos < shard.ledger.size()) {
       const hdk::TermKey& key = shard.ledger.entry(pos).first;
-      if (!key.Contains(t)) {
+      if (!hdk::ContainsAnyOf(key, terms)) {
         ++pos;
         continue;
       }
@@ -1290,6 +1291,18 @@ const hdk::KeyEntry* DistributedGlobalIndex::PeekHashed(
   const auto& fragment = shard.fragments[owner];
   auto it = fragment.find_hashed(key_hash, key);
   return it == fragment.end() ? nullptr : &it->second;
+}
+
+const index::PostingList* DistributedGlobalIndex::FindContribution(
+    PeerId peer, const hdk::TermKey& key, uint64_t key_hash) const {
+  const hdk::KeyMap<LedgerEntry>& ledger = shards_[ShardOf(key_hash)]->ledger;
+  const auto it = ledger.find_hashed(key_hash, key);
+  if (it == ledger.end()) return nullptr;
+  const std::vector<Contribution>& contributions = it->second.contributions;
+  const auto c = std::lower_bound(
+      contributions.begin(), contributions.end(), peer,
+      [](const Contribution& c, PeerId p) { return c.peer < p; });
+  return c != contributions.end() && c->peer == peer ? &c->full : nullptr;
 }
 
 uint64_t DistributedGlobalIndex::StoredPostingsAt(PeerId peer) const {

@@ -279,13 +279,14 @@ class DistributedGlobalIndex {
   /// there.
   DepartureOutcome FinishDeparture(DepartureBaseline baseline);
 
-  /// Removes every key containing term `t` from the ledger and the
-  /// fragments — used when a term crosses the very-frequent threshold Ff
+  /// Removes every key containing a term of `terms` from the ledger and
+  /// the fragments — used when terms cross the very-frequent threshold Ff
   /// as the collection grows (a from-scratch build over the grown
-  /// collection excludes it from the key vocabulary). Like the Ff cutoff
-  /// itself, this is treated as global preprocessing outside the paper's
-  /// traffic accounting. Returns the number of erased keys.
-  uint64_t EraseKeysContaining(TermId t);
+  /// collection excludes them from the key vocabulary). One shard-parallel
+  /// walk covers the whole term set. Like the Ff cutoff itself, this is
+  /// treated as global preprocessing outside the paper's traffic
+  /// accounting. Returns the number of erased keys.
+  uint64_t EraseKeysContaining(const TermIdSet& terms);
 
   /// Re-derives every published entry whose truncation depends on the
   /// average document length (local or global posting-list truncation
@@ -405,6 +406,10 @@ class DistributedGlobalIndex {
   /// Indexing-side losses that became permanent: contributions /
   /// NDK notifications addressed to a hard-dead peer (dropped, the
   /// published index degrades until the peer is evicted and repaired).
+  /// A lost contribution never reaches the ledger, so the ledger — the
+  /// record the protocol asks "did this peer publish k?" — says the peer
+  /// did not: a later growth pass that re-derives the key sends it again,
+  /// which is what a from-scratch build over the same peers contains.
   uint64_t lost_contributions() const {
     return lost_contributions_.load(std::memory_order_relaxed);
   }
@@ -420,6 +425,20 @@ class DistributedGlobalIndex {
   const hdk::KeyEntry* Peek(const hdk::TermKey& key) const;
   const hdk::KeyEntry* PeekHashed(uint64_t key_hash,
                                   const hdk::TermKey& key) const;
+
+  /// Peer `peer`'s full local posting list for `key` in the contribution
+  /// ledger, or nullptr when the peer never contributed the key (or its
+  /// contribution is still pending). The ledger is the one record of
+  /// which peer published which key: the growth wave asks it "did this
+  /// peer publish k already?" and the delta scan reads the documents of
+  /// the peer's fresh sub-keys from it. `key_hash` = key.Hash64().
+  ///
+  /// THREAD SAFETY: safe from concurrent insert-wave tasks — the ledger
+  /// only changes in serial sections and shard-parallel barriers
+  /// (EndLevel, Retruncate, the departure paths), never during a wave.
+  const index::PostingList* FindContribution(PeerId peer,
+                                             const hdk::TermKey& key,
+                                             uint64_t key_hash) const;
 
   /// Stored postings on one peer's fragment / across all fragments
   /// (the paper's Figure 3 metric).

@@ -26,16 +26,16 @@ HdkIndexingProtocol::HdkIndexingProtocol(const HdkParams& params,
       pool_(pool),
       resilience_(resilience) {}
 
-std::vector<TermId> HdkIndexingProtocol::RefreshVeryFrequent(
+TermIdSet HdkIndexingProtocol::RefreshVeryFrequent(
     const corpus::CollectionStats& stats) {
   // The very-frequent cutoff uses global collection statistics. The real
   // deployment aggregates these while peers join (cheap term-count
   // gossip); the paper applies it as global preprocessing, and so do we —
   // this traffic is not part of the paper's accounting.
-  std::vector<TermId> fresh;
+  TermIdSet fresh;
   for (TermId t :
        stats.VeryFrequentTerms(params_.very_frequent_threshold)) {
-    if (very_frequent_.insert(t).second) fresh.push_back(t);
+    if (very_frequent_.insert(t).second) fresh.insert(t);
   }
   report_.excluded_very_frequent_terms = very_frequent_.size();
   return fresh;
@@ -116,13 +116,14 @@ Status HdkIndexingProtocol::Grow(
   }
 
   // 1. Terms that crossed Ff leave the key vocabulary: erase their keys
-  //    from the global index and from every peer's local knowledge —
+  //    from the global index (one shard-parallel walk for the whole term
+  //    set) and from every peer's local knowledge (one task per peer) —
   //    a from-scratch build over the grown collection never creates them.
-  const std::vector<TermId> fresh_vf = RefreshVeryFrequent(stats);
-  uint64_t purged = 0;
-  for (TermId t : fresh_vf) {
-    purged += global_->EraseKeysContaining(t);
-    for (Peer& peer : peers_) peer.PurgeTerm(t);
+  const TermIdSet fresh_vf = RefreshVeryFrequent(stats);
+  const uint64_t purged = global_->EraseKeysContaining(fresh_vf);
+  if (!fresh_vf.empty()) {
+    ParallelForEach(pool_, peers_.size(),
+                    [&](size_t i) { peers_[i].PurgeTerms(fresh_vf); });
   }
   if (growth != nullptr) {
     growth->new_very_frequent_terms = fresh_vf.size();
@@ -279,7 +280,7 @@ Status HdkIndexingProtocol::Depart(
           if (s == 1 ? !readmitted.empty() : peer.HasFreshKnowledge()) {
             fresh = s == 1 ? peer.BuildLevel1(store_, very_frequent_,
                                               &task.generation)
-                           : peer.BuildLevelDelta(s, store_,
+                           : peer.BuildLevelDelta(s, store_, *global_,
                                                   &task.generation);
             task.rescanned = true;
           }
@@ -294,8 +295,9 @@ Status HdkIndexingProtocol::Depart(
                 ++task.retracted;
                 continue;
               }
-              InsertCandidate(peer, s, key, key_hash, std::move(full),
-                              /*record_traffic=*/false);
+              global_->InsertPostings(peer.id(), key, key_hash,
+                                      std::move(full), params_,
+                                      /*record_traffic=*/false);
             }
             std::vector<Kept>().swap(run);  // release as we go
           }
@@ -303,9 +305,8 @@ Status HdkIndexingProtocol::Depart(
             auto& [key, pl] = fresh.entry(ci);
             if (s == 1 && readmitted.count(key.term(0)) == 0) continue;
             ++task.keys_inserted;
-            task.postings_inserted +=
-                InsertCandidate(peer, s, key, fresh.hash_at(ci),
-                                std::move(pl), /*record_traffic=*/true);
+            task.postings_inserted += global_->InsertPostings(
+                peer.id(), key, fresh.hash_at(ci), std::move(pl), params_);
           }
         });
 
@@ -371,12 +372,6 @@ Status HdkIndexingProtocol::Depart(
     }
   }
 
-  // The pre-departure peers are no longer needed: free them on the
-  // pool rather than on the caller.
-  ParallelForEach(pool_, prior.size(), [&](size_t i) {
-    const Peer released = std::move(prior[i]);
-  });
-
   // 6. Reconcile against the pre-departure published state: fragment
   //    handovers, in-place repairs and reverse reclassifications record
   //    their churn traffic here.
@@ -393,21 +388,6 @@ Status HdkIndexingProtocol::Depart(
   RecountKeys();
   if (departure != nullptr) *departure = stats_out;
   return Status::OK();
-}
-
-uint64_t HdkIndexingProtocol::InsertCandidate(Peer& peer, uint32_t s,
-                                              const hdk::TermKey& key,
-                                              uint64_t key_hash,
-                                              index::PostingList full,
-                                              bool record_traffic) {
-  // Keys below the top level can become expansion material later;
-  // remember which local documents carry them (delta-scan targets).
-  std::vector<DocId> key_docs;
-  if (s < params_.s_max) key_docs = full.Documents();
-  const uint64_t payload = global_->InsertPostings(
-      peer.id(), key, key_hash, std::move(full), params_, record_traffic);
-  peer.MarkPublished(s, key, key_hash, std::move(key_docs));
-  return payload;
 }
 
 LevelOutcome HdkIndexingProtocol::LevelWave(
@@ -499,22 +479,27 @@ void HdkIndexingProtocol::RunLevels(const corpus::CollectionStats& stats,
               : task.is_new
                   ? peer.BuildLevel(s, store_, &task.generation,
                                     task.reserve_hint)
-                  : peer.BuildLevelDelta(s, store_, &task.generation);
+                  : peer.BuildLevelDelta(s, store_, *global_,
+                                        &task.generation);
           task.candidates = candidates.size();
 
           // Hash-carrying insert wave: the candidate map caches each
-          // key's Hash64, so the published-set probe, overlay routing,
-          // shard choice and the barrier's ledger probe all reuse it.
+          // key's Hash64, so the "already published?" ledger probe,
+          // overlay routing, shard choice and the barrier's ledger fold
+          // all reuse it. The ledger only changes at the barrier, so an
+          // existing peer's probe sees exactly its contributions of
+          // earlier passes.
           for (size_t ci = 0; ci < candidates.size(); ++ci) {
             auto& [key, pl] = candidates.entry(ci);
             const uint64_t key_hash = candidates.hash_at(ci);
-            if (!task.is_new && peer.HasPublished(s, key, key_hash)) {
+            if (!task.is_new &&
+                global_->FindContribution(peer.id(), key, key_hash) !=
+                    nullptr) {
               continue;
             }
             ++task.keys_inserted;
-            task.postings_inserted +=
-                InsertCandidate(peer, s, key, key_hash, std::move(pl),
-                                /*record_traffic=*/true);
+            task.postings_inserted += global_->InsertPostings(
+                peer.id(), key, key_hash, std::move(pl), params_);
           }
         });
 

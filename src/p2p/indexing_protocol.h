@@ -11,10 +11,12 @@
 //     expands the key at level s+1.
 //
 // The protocol object is STATEFUL: after the initial Run() it retains every
-// peer's local knowledge (NDK oracle, published keys), so the network can
-// Grow() — the paper's evolution experiment, where peers join in waves and
-// contribute new documents. A growth step runs the same level-wise protocol
-// but only over the delta:
+// peer's local knowledge (its NDK oracle), so the network can Grow() — the
+// paper's evolution experiment, where peers join in waves and contribute
+// new documents. Which keys a peer already published is not copied onto
+// the peer: the global index's contribution ledger is the one record of
+// every (key, peer) contribution, and the protocol reads it. A growth step
+// runs the same level-wise protocol but only over the delta:
 //
 //   * terms that crossed the very-frequent threshold Ff are purged from
 //     the key vocabulary (global preprocessing, like the Ff cutoff itself),
@@ -255,7 +257,7 @@ class HdkIndexingProtocol {
  private:
   /// Refreshes the very-frequent term set from `stats`; returns the terms
   /// that newly crossed Ff.
-  std::vector<TermId> RefreshVeryFrequent(const corpus::CollectionStats& stats);
+  TermIdSet RefreshVeryFrequent(const corpus::CollectionStats& stats);
 
   /// The shared level loop. Peers with id >= `first_new_peer` run a full
   /// build; older peers participate only at levels >= 2 and only while
@@ -275,14 +277,6 @@ class HdkIndexingProtocol {
   /// Refreshes every level's published HDK / NDK counts in the report
   /// from the global index (one fragment walk for all levels).
   void RecountKeys();
-
-  /// Inserts one level-s candidate of `peer` into the global index and
-  /// marks it published, remembering its local documents below the top
-  /// level (delta-scan targets). Returns the transmitted payload. Safe in
-  /// concurrent tasks of distinct peers once EnsureCapacity() has run.
-  uint64_t InsertCandidate(Peer& peer, uint32_t s, const hdk::TermKey& key,
-                           uint64_t key_hash, index::PostingList full,
-                           bool record_traffic);
 
   const HdkParams params_;
   const corpus::DocumentStore& store_;

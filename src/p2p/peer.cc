@@ -2,11 +2,12 @@
 
 #include <algorithm>
 
+#include "p2p/global_index.h"
+
 namespace hdk::p2p {
 
 Peer::Peer(PeerId id, DocId first, DocId last, const HdkParams& params)
-    : id_(id), first_(first), last_(last), params_(params),
-      builder_(params) {}
+    : id_(id), first_(first), last_(last), builder_(params) {}
 
 hdk::KeyMap<index::PostingList> Peer::BuildLevel1(
     const corpus::DocumentStore& store,
@@ -24,17 +25,18 @@ hdk::KeyMap<index::PostingList> Peer::BuildLevel(
 
 hdk::KeyMap<index::PostingList> Peer::BuildLevelDelta(
     uint32_t s, const corpus::DocumentStore& store,
+    const DistributedGlobalIndex& global,
     hdk::CandidateBuildStats* stats) const {
   // Every window event of a NEW candidate lies in a document where one of
-  // its fresh sub-keys occurs — and the peer recorded those documents when
-  // it published the sub-key. The union is tiny: fresh facts are keys
-  // that only just crossed DFmax.
+  // its fresh sub-keys occurs — and the peer's ledger contribution of the
+  // sub-key lists exactly those documents. The union is tiny: fresh facts
+  // are keys that only just crossed DFmax.
   std::vector<DocId> docs;
   auto append = [&](const hdk::TermKey& key) {
-    auto it = published_docs_.find(key);
-    if (it != published_docs_.end()) {
-      docs.insert(docs.end(), it->second.begin(), it->second.end());
-    }
+    const index::PostingList* mine =
+        global.FindContribution(id_, key, key.Hash64());
+    if (mine == nullptr) return;
+    for (const index::Posting& p : mine->postings()) docs.push_back(p.doc);
   };
   for (TermId t : delta_.terms) append(hdk::TermKey{t});
   if (s >= 3) {

@@ -265,10 +265,10 @@ index::SearchResponse SingleTermP2PEngine::Search(
     exec.cost.postings_fetched += payload;
     if (pl != nullptr) ++exec.cost.keys_fetched;
 
-    if (pl != nullptr) {
-      const Freq df = pl->size();
+    if (pl != nullptr && !pl->empty()) {
+      const double idf = scorer.Idf(pl->size());
       for (const index::Posting& p : pl->postings()) {
-        scores[p.doc] += scorer.Score(p.tf, df, p.doc_length);
+        scores[p.doc] += scorer.ScoreWithIdf(idf, p.tf, p.doc_length);
       }
     }
   }
@@ -433,17 +433,21 @@ SingleTermP2PEngine::SearchConjunctive(PeerId origin,
 
   // Exact BM25 scoring of the verified conjunctive candidates.
   index::Bm25Scorer scorer(num_documents_, average_document_length());
+  std::vector<double> idfs;
+  idfs.reserve(locs.size());
+  for (const TermLoc& loc : locs) {
+    idfs.push_back(scorer.Idf(loc.postings->size()));
+  }
   index::TopK topk(k);
   for (DocId d : candidates) {
     double score = 0;
-    for (const TermLoc& loc : locs) {
-      const auto& pl = *loc.postings;
-      auto docs = pl.postings();
+    for (size_t i = 0; i < locs.size(); ++i) {
+      auto docs = locs[i].postings->postings();
       auto it = std::lower_bound(
           docs.begin(), docs.end(), d,
           [](const index::Posting& p, DocId doc) { return p.doc < doc; });
       if (it != docs.end() && it->doc == d) {
-        score += scorer.Score(it->tf, pl.size(), it->doc_length);
+        score += scorer.ScoreWithIdf(idfs[i], it->tf, it->doc_length);
       }
     }
     topk.Offer(index::ScoredDoc{d, score});

@@ -39,7 +39,10 @@ inline constexpr char kSnapshotMagic[4] = {'H', 'D', 'K', 'S'};
 //      (the kind axis grew with the anti-entropy sync kinds)
 //   3  every ledger and fragment map is zero-padded to 8 bytes, so the
 //      posting blobs of the maps that follow stay aligned
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+//   4  the protocol section keeps only each peer's range and oracle:
+//      which keys a peer published (and with which documents) is read
+//      from the contribution ledger in the global-index section
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
 /// Section identifiers. Values are part of the wire format; never reuse
 /// a retired one.

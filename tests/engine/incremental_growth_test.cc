@@ -15,6 +15,7 @@
 #include "corpus/synthetic.h"
 #include "engine/centralized.h"
 #include "engine/experiment.h"
+#include "engine/fingerprint.h"
 #include "engine/hdk_engine.h"
 #include "engine/partition.h"
 #include "engine/st_engine.h"
@@ -203,6 +204,91 @@ TEST(IncrementalGrowthTest, DfMaxCrossingAndVeryFrequentPurge) {
   ASSERT_TRUE(scratch.ok());
   ExpectSameContents((*scratch)->global_index().ExportContents(),
                      (*grown)->global_index().ExportContents());
+}
+
+TEST(IncrementalGrowthTest, FfPurgeOfSeveralTermsIsThreadCountInvariant) {
+  // Two terms cross the very-frequent threshold Ff in the same growth
+  // step, and keys hold both of them, so the one-walk purge of the whole
+  // fresh term set is exercised. The purge count, every traffic counter
+  // and the grown contents must be identical at 1 and 4 threads, and
+  // equal a from-scratch build.
+  HdkEngineConfig config;
+  config.hdk.df_max = 8;
+  config.hdk.very_frequent_threshold = 25;
+  config.hdk.window = 8;
+  config.hdk.s_max = 3;
+
+  corpus::DocumentStore store;
+  auto add_doc = [&](std::vector<TermId> front) {
+    const DocId d = static_cast<DocId>(store.size());
+    while (front.size() < 12) {
+      // Unique background terms.
+      front.push_back(1000 + d * 16 + static_cast<TermId>(front.size()));
+    }
+    store.Add(std::move(front));
+  };
+  // Wave 1 (60 docs): terms 1 (cf 20), 4 (cf 18) and 5 (cf 12) are NDKs
+  // that co-occur, so pairs and triples over them are published.
+  for (DocId d = 0; d < 60; ++d) {
+    std::vector<TermId> front;
+    if (d < 20) front.push_back(1);
+    if (d < 18) front.push_back(4);
+    if (d < 12) front.push_back(5);
+    add_doc(std::move(front));
+  }
+  // Wave 2 (60 docs): cf(1) = 35 and cf(4) = 28 cross Ff = 25.
+  for (DocId d = 60; d < 120; ++d) {
+    std::vector<TermId> front;
+    if (d < 75) front.push_back(1);
+    if (d < 70) front.push_back(4);
+    add_doc(std::move(front));
+  }
+
+  struct Outcome {
+    p2p::GrowthStats growth;
+    uint64_t keys_with_purged_terms = 0;  // before the growth
+    uint64_t traffic = 0;
+    uint64_t contents = 0;
+  };
+  auto grow = [&](size_t threads) {
+    HdkEngineConfig c = config;
+    c.num_threads = threads;
+    Outcome out;
+    auto engine = HdkSearchEngine::Build(c, store, SplitEvenly(60, 2));
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    if (!engine.ok()) return out;
+    const hdk::HdkIndexContents before =
+        (*engine)->global_index().ExportContents();
+    for (const auto& [key, entry] : before.entries()) {
+      if (key.Contains(1) || key.Contains(4)) ++out.keys_with_purged_terms;
+    }
+    EXPECT_TRUE((*engine)->AddPeers(store, JoinRanges(60, 2, 30)).ok());
+    out.growth = (*engine)->last_growth();
+    out.traffic = FingerprintTraffic(*(*engine)->traffic());
+    out.contents =
+        FingerprintContents((*engine)->global_index().ExportContents());
+    return out;
+  };
+
+  const Outcome serial = grow(1);
+  EXPECT_EQ(serial.growth.new_very_frequent_terms, 2u);
+  // Each key holding a purged term is erased (and counted) once, also
+  // when it holds both.
+  EXPECT_GT(serial.keys_with_purged_terms, 2u);
+  EXPECT_EQ(serial.growth.purged_keys, serial.keys_with_purged_terms);
+
+  const Outcome parallel = grow(4);
+  EXPECT_EQ(parallel.growth.new_very_frequent_terms, 2u);
+  EXPECT_EQ(parallel.growth.purged_keys, serial.growth.purged_keys);
+  EXPECT_EQ(parallel.growth.delta_insertions, serial.growth.delta_insertions);
+  EXPECT_EQ(parallel.growth.delta_postings, serial.growth.delta_postings);
+  EXPECT_EQ(parallel.traffic, serial.traffic);
+  EXPECT_EQ(parallel.contents, serial.contents);
+
+  auto scratch = HdkSearchEngine::Build(config, store, SplitEvenly(120, 4));
+  ASSERT_TRUE(scratch.ok());
+  EXPECT_EQ(FingerprintContents((*scratch)->global_index().ExportContents()),
+            serial.contents);
 }
 
 TEST(IncrementalGrowthTest, SingleTermAddPeersEqualsFromScratchBuild) {

@@ -1,6 +1,8 @@
 #include "index/bm25.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -77,6 +79,25 @@ TEST(Bm25Test, NoLengthNormalizationWhenBZero) {
 TEST(Bm25Test, GuardsDegenerateAvgDl) {
   Bm25Scorer scorer(10, 0.0);  // avgdl clamped to 1
   EXPECT_GT(scorer.Score(1, 1, 1), 0.0);
+}
+
+TEST(Bm25Test, ScoreWithIdfIsBitIdenticalToScore) {
+  // The ranking loops hoist Idf(df) out of their per-posting work; the
+  // hoisted form must not move a single score bit.
+  for (double avgdl : {1.0, 37.5, 100.0}) {
+    Bm25Scorer scorer(5000, avgdl);
+    for (Freq df : {1ULL, 2ULL, 7ULL, 24ULL, 333ULL, 4999ULL, 5000ULL}) {
+      const double idf = scorer.Idf(df);
+      for (uint32_t tf : {0u, 1u, 2u, 3u, 9u, 64u, 1000u}) {
+        for (uint32_t doc_length : {0u, 1u, 12u, 50u, 99u, 100u, 4096u}) {
+          const double a = scorer.Score(tf, df, doc_length);
+          const double b = scorer.ScoreWithIdf(idf, tf, doc_length);
+          EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b))
+              << "tf " << tf << " df " << df << " len " << doc_length;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

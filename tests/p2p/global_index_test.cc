@@ -1,8 +1,13 @@
 #include "p2p/global_index.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "corpus/stats.h"
+#include "corpus/synthetic.h"
 #include "dht/pgrid.h"
+#include "p2p/indexing_protocol.h"
 
 namespace hdk::p2p {
 namespace {
@@ -231,7 +236,7 @@ TEST_F(GlobalIndexTest, EraseKeysContainingPurgesEverywhere) {
                         index::PostingList({{5, 1, 5}}), Params(10));
   index_.EndLevel(Params(10), 5.0);
 
-  EXPECT_EQ(index_.EraseKeysContaining(1), 2u);  // {1} and {1,2}
+  EXPECT_EQ(index_.EraseKeysContaining(TermIdSet{1}), 2u);  // {1}, {1,2}
   EXPECT_EQ(index_.Peek(hdk::TermKey{1}), nullptr);
   EXPECT_EQ(index_.Peek(hdk::TermKey{1, 2}), nullptr);
   EXPECT_NE(index_.Peek(hdk::TermKey{2}), nullptr);
@@ -488,6 +493,69 @@ TEST(ShardedGlobalIndexTest, OverlayGrowthMigratesWithinShards) {
   EXPECT_EQ(index.TotalKeys(), 40u);
   for (TermId t = 0; t < 40; ++t) {
     EXPECT_NE(index.Peek(hdk::TermKey{t}), nullptr);
+  }
+}
+
+TEST(ContributionLookupTest, FindContributionAnswersFromTheLedger) {
+  // A fault-free tiny build: the ledger is then the complete record of
+  // who published what, so FindContribution must return every ledger
+  // contribution for its (key, peer), nothing for a non-contributor, and
+  // exactly as many (key, peer) hits per key size as the protocol sent
+  // insertions at that level.
+  corpus::SyntheticConfig cfg;
+  cfg.seed = 777;
+  cfg.vocabulary_size = 3000;
+  cfg.num_topics = 12;
+  cfg.topic_width = 35;
+  cfg.mean_doc_length = 50.0;
+  cfg.topic_share = 0.7;
+  corpus::DocumentStore store;
+  corpus::SyntheticCorpus(cfg).FillStore(120, &store);
+  const corpus::CollectionStats stats(store);
+  HdkParams params;
+  params.df_max = 10;
+  params.very_frequent_threshold = 500;
+  params.window = 8;
+  params.s_max = 3;
+
+  constexpr PeerId kPeers = 4;
+  dht::PGridOverlay overlay(kPeers, 42);
+  net::TrafficRecorder traffic;
+  ThreadPool pool(2);
+  HdkIndexingProtocol protocol(params, store, &overlay, &traffic, &pool);
+  auto built = protocol.Run({{0, 30}, {30, 60}, {60, 90}, {90, 120}}, stats);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const DistributedGlobalIndex& global = **built;
+  ASSERT_GT(global.num_shards(), 1u);
+
+  std::vector<uint64_t> hits(params.s_max, 0);
+  for (size_t shard = 0; shard < global.num_shards(); ++shard) {
+    const auto& ledger = global.ShardLedger(shard);
+    for (size_t pos = 0; pos < ledger.size(); ++pos) {
+      const auto& [key, entry] = ledger.entry(pos);
+      const uint64_t key_hash = ledger.hash_at(pos);
+      for (const auto& c : entry.contributions) {
+        EXPECT_EQ(global.FindContribution(c.peer, key, key_hash), &c.full)
+            << key.ToString() << " peer " << c.peer;
+      }
+      for (PeerId p = 0; p <= kPeers; ++p) {
+        const index::PostingList* found =
+            global.FindContribution(p, key, key_hash);
+        const bool contributed = std::any_of(
+            entry.contributions.begin(), entry.contributions.end(),
+            [p](const auto& c) { return c.peer == p; });
+        EXPECT_EQ(found != nullptr, contributed)
+            << key.ToString() << " peer " << p;
+        if (found != nullptr) ++hits[key.size() - 1];
+      }
+    }
+  }
+  const hdk::TermKey absent{2999, 3000};
+  EXPECT_EQ(global.FindContribution(0, absent, absent.Hash64()), nullptr);
+  for (uint32_t s = 1; s <= params.s_max; ++s) {
+    EXPECT_GT(hits[s - 1], 0u) << "size " << s;
+    EXPECT_EQ(hits[s - 1], protocol.report().levels[s - 1].keys_inserted)
+        << "size " << s;
   }
 }
 
